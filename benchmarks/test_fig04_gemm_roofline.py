@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig04_gemm_roofline(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig04",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig04", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: 429 TFLOPS / 99.3 % of peak at M=K=N=8192 (here 16384 tops

@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_fig05_gemm_utilization(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig05",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig05", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: Gaudi-2 averages higher compute utilization (4.5 pp; our

@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_fig07_mme_geometry(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig07",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig07", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: up to ~15 pp utilization gain over the fixed array, several

@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig08_stream(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig08",), kwargs={"fast": True}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig08", "fast": True}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: chip saturation at ~330/530/670 GFLOPS; SCALE gains most

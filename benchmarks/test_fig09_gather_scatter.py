@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig09_gather_scatter(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig09",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig09", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: Gaudi 64 %/15 % for large/small gathers vs A100 72 %/36 %.

@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_fig10_collectives(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig10",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig10", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: Gaudi wins 5 of 6 collectives at 8 devices; busBW declines

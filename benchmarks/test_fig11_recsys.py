@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_fig11_recsys(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig11",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig11", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: average slowdowns (RM1 -22 %, RM2 -18 %; our model is

@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_fig12_llm_serving(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig12",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig12", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: 1.47x average single-device speedup; multi-device speedups

@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig13_llm_energy(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig13",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig13", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: ~1.48x single-device energy efficiency; ~0.88x power and

@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig15_embedding(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig15",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig15", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: BatchedTable peaks at ~70 % utilization, improves on

@@ -7,7 +7,7 @@ from repro.figures import run_figure
 
 def test_fig17_paged_attention(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("fig17",), kwargs={"fast": False}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "fig17", "fast": False}, rounds=1, iterations=1
     )
     save_figure(result)
     # Paper: 7.4x average opt-over-base speedup (up to 55.7x with

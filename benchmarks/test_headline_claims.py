@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_headline_claims(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("headline",), kwargs={"fast": True}, rounds=1, iterations=1
+        run_figure, kwargs={"figure_id": "headline", "fast": True}, rounds=1, iterations=1
     )
     save_figure(result)
     measured = result.summary

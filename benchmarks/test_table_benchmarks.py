@@ -5,7 +5,7 @@ from repro.figures import run_figure
 
 def test_table1_spec_comparison(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("table1",), kwargs={"fast": True}, rounds=3, iterations=1
+        run_figure, kwargs={"figure_id": "table1", "fast": True}, rounds=3, iterations=1
     )
     save_figure(result)
     import pytest
@@ -16,7 +16,7 @@ def test_table1_spec_comparison(benchmark, save_figure):
 
 def test_table2_microbenchmark_inventory(benchmark, save_figure):
     result = benchmark.pedantic(
-        run_figure, args=("table2",), kwargs={"fast": True}, rounds=3, iterations=1
+        run_figure, kwargs={"figure_id": "table2", "fast": True}, rounds=3, iterations=1
     )
     save_figure(result)
     assert result.summary["num_microbenchmarks"] == 4

@@ -25,8 +25,7 @@ on the runtime invariant auditor (equivalent to ``REPRO_AUDIT``).
 Platform selection is uniform: single-platform verbs (serve, trace,
 top, chaos, smi) take ``--backend NAME``; comparison verbs (specs,
 gemm, figures, reproduce, fleet) take a repeatable ``--backend``
-naming the comparison set.  The legacy ``--device``/``--devices``
-flags still parse as deprecated aliases and warn once per process.
+naming the comparison set.
 """
 
 from __future__ import annotations
@@ -48,46 +47,13 @@ from repro.hw.device import get_device
 from repro.hw.spec import DType, spec_comparison_rows, spec_comparison_rows_for
 
 
-#: Deprecated flags already warned about this process (one line each).
-_WARNED_DEPRECATED: set = set()
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A legacy flag kept as an alias of ``--backend``.
-
-    Stores into the replacement's ``dest`` and emits a single
-    deprecation warning per flag per process (satellite: per-verb
-    ad-hoc platform flags fold into one ``--backend``).
-    """
-
-    def __init__(self, *args, replacement: str = "--backend", **kwargs):
-        self.replacement = replacement
-        kwargs.setdefault("default", argparse.SUPPRESS)
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string not in _WARNED_DEPRECATED:
-            _WARNED_DEPRECATED.add(option_string)
-            print(
-                f"warning: {option_string} is deprecated; use {self.replacement}",
-                file=sys.stderr,
-            )
-        if isinstance(values, list):
-            current = getattr(namespace, self.dest, None) or []
-            setattr(namespace, self.dest, list(current) + values)
-        else:
-            setattr(namespace, self.dest, values)
-
-
 def _add_backend_flag(parser: argparse.ArgumentParser, *, multiple: bool,
-                      deprecated: Optional[str] = None,
                       default: Optional[str] = None) -> None:
     """The unified ``--backend`` platform flag.
 
     ``multiple`` verbs (gemm/figures/reproduce/fleet) take a repeatable
     flag naming the comparison set; single-platform verbs take one
-    value.  ``deprecated`` registers the verb's legacy flag as an alias
-    that warns once.
+    value.
     """
     if multiple:
         parser.add_argument(
@@ -100,13 +66,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser, *, multiple: bool,
             "--backend", dest="device", default=default or "gaudi2",
             metavar="NAME",
             help="registered backend name (see `repro backends`)",
-        )
-    if deprecated:
-        nargs = "+" if multiple else None
-        dest = "backend" if multiple else "device"
-        parser.add_argument(
-            deprecated, dest=dest, action=_DeprecatedAlias, nargs=nargs,
-            help=argparse.SUPPRESS,
         )
 
 
@@ -726,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     gemm.add_argument("k", type=int)
     gemm.add_argument("n", type=int)
     gemm.add_argument("--dtype", default="bf16", choices=[d.value for d in DType])
-    _add_backend_flag(gemm, multiple=True, deprecated="--devices")
+    _add_backend_flag(gemm, multiple=True)
     gemm.set_defaults(fn=_cmd_gemm)
 
     figures = sub.add_parser("figures", help="regenerate paper tables/figures")
@@ -776,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the vLLM-style serving simulation")
     serve.add_argument("--model", default="8b", choices=["8b", "70b"])
-    _add_backend_flag(serve, multiple=False, deprecated="--device")
+    _add_backend_flag(serve, multiple=False)
     serve.add_argument("--tp", type=int, default=1, help="tensor-parallel degree")
     serve.add_argument("--max-batch", type=int, default=64)
     serve.add_argument("--requests", type=int, default=64)
@@ -796,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     trace.add_argument("--model", default="8b", choices=["8b", "70b"])
-    _add_backend_flag(trace, multiple=False, deprecated="--device")
+    _add_backend_flag(trace, multiple=False)
     trace.add_argument("--tp", type=int, default=4, help="tensor-parallel degree")
     trace.add_argument("--max-batch", type=int, default=32)
     trace.add_argument("--requests", type=int, default=64)
@@ -813,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hl-smi/top style sampled view of a traced serving run",
     )
     top.add_argument("--model", default="8b", choices=["8b", "70b"])
-    _add_backend_flag(top, multiple=False, deprecated="--device")
+    _add_backend_flag(top, multiple=False)
     top.add_argument("--tp", type=int, default=4, help="tensor-parallel degree")
     top.add_argument("--max-batch", type=int, default=32)
     top.add_argument("--requests", type=int, default=32)
@@ -834,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument("--model", default="8b", choices=["8b", "70b"])
-    _add_backend_flag(chaos, multiple=False, deprecated="--device")
+    _add_backend_flag(chaos, multiple=False)
     chaos.add_argument("--tp", type=int, default=8,
                        help="tensor-parallel degree (the fault domain size)")
     chaos.add_argument("--max-batch", type=int, default=32)
@@ -1072,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     surrogate_sweep.set_defaults(fn=_cmd_surrogate, action="sweep")
 
     smi = sub.add_parser("smi", help="hl-smi / nvidia-smi style readout")
-    _add_backend_flag(smi, multiple=False, deprecated="--device")
+    _add_backend_flag(smi, multiple=False)
     smi.add_argument("--workload", default="llm", choices=["llm", "recsys"])
     smi.set_defaults(fn=_cmd_smi)
 

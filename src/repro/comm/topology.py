@@ -81,10 +81,10 @@ class Topology:
     num_devices: int
     base_latency: float
 
-    #: Whether collective costs over this topology are stable for its
-    #: lifetime (safe to memoize).  The degraded views below read live
-    #: :class:`FabricHealth` state, so they clear this flag.
-    cache_static: bool = True
+    def health_key(self) -> Optional[Tuple]:
+        """The live fault state collective pricing reads, as a hashable
+        snapshot for cost-cache keys; None for a static fabric."""
+        return None
 
     def validate_participants(self, participants: int) -> None:
         if not 2 <= participants <= self.num_devices:
@@ -168,7 +168,36 @@ class SwitchTopology(Topology):
         return self.per_device_bandwidth
 
 
-class DegradedMeshTopology(P2PMeshTopology):
+class _FaultView:
+    """Shared behaviour of the degraded topology views: they read a
+    live :class:`FabricHealth` when pricing, so their cost-cache key
+    carries a snapshot of it."""
+
+    health: FabricHealth
+    num_devices: int
+    RELAY_FACTOR: float
+
+    def alive_devices(self) -> int:
+        return self.health.alive(self.num_devices)
+
+    def health_key(self) -> Tuple:
+        """Sorted down devices and sorted link factors: everything the
+        pricing below reads from the fault state.  A recovered device
+        or restored link snapshots back to the healthy key."""
+        health = self.health
+        return (
+            tuple(sorted(health.down_devices)),
+            tuple(sorted(health.link_factors.items())),
+        )
+
+    def pair_bandwidth(self, participants: int) -> float:
+        healthy = super().pair_bandwidth(participants)
+        return healthy * self.health.worst_link_factor(
+            self.num_devices, floor=self.RELAY_FACTOR
+        )
+
+
+class DegradedMeshTopology(_FaultView, P2PMeshTopology):
     """A :class:`P2PMeshTopology` viewed through live fault state.
 
     When devices drop out of the mesh, each survivor can only use the
@@ -182,8 +211,6 @@ class DegradedMeshTopology(P2PMeshTopology):
 
     #: Residual rate of a fully-down link after 2-hop relay rerouting.
     RELAY_FACTOR = 0.5
-
-    cache_static = False
 
     def __init__(
         self,
@@ -199,21 +226,12 @@ class DegradedMeshTopology(P2PMeshTopology):
         )
         self.health = health if health is not None else FabricHealth()
 
-    def alive_devices(self) -> int:
-        return self.health.alive(self.num_devices)
-
-    def pair_bandwidth(self, participants: int) -> float:
-        healthy = super().pair_bandwidth(participants)
-        return healthy * self.health.worst_link_factor(
-            self.num_devices, floor=self.RELAY_FACTOR
-        )
-
     def injection_bandwidth(self, participants: int) -> float:
         self.validate_participants(participants)
         return (participants - 1) * self.pair_bandwidth(participants)
 
 
-class DegradedSwitchTopology(SwitchTopology):
+class DegradedSwitchTopology(_FaultView, SwitchTopology):
     """A :class:`SwitchTopology` viewed through live fault state.
 
     The switch isolates survivors from failed peers (usable bandwidth
@@ -223,8 +241,6 @@ class DegradedSwitchTopology(SwitchTopology):
 
     #: Residual rate of a fully-down uplink via spare switch planes.
     RELAY_FACTOR = 0.5
-
-    cache_static = False
 
     def __init__(
         self,
@@ -238,15 +254,6 @@ class DegradedSwitchTopology(SwitchTopology):
             base_latency=base.base_latency,
         )
         self.health = health if health is not None else FabricHealth()
-
-    def alive_devices(self) -> int:
-        return self.health.alive(self.num_devices)
-
-    def pair_bandwidth(self, participants: int) -> float:
-        healthy = super().pair_bandwidth(participants)
-        return healthy * self.health.worst_link_factor(
-            self.num_devices, floor=self.RELAY_FACTOR
-        )
 
     def injection_bandwidth(self, participants: int) -> float:
         healthy = super().injection_bandwidth(participants)

@@ -12,8 +12,8 @@ Caches register themselves in a process-global weak registry so the
 CLI and tests can inspect (:func:`cache_stats`, :func:`render_stats`),
 reset (:func:`clear_caches`), or export (:func:`publish_metrics`)
 everything without holding references.  Cached values must be treated
-as immutable by callers; ``None`` is not a cacheable value (it encodes
-a miss).
+as immutable by callers; ``None`` cannot be cached (it encodes a
+miss).
 
 Memoization can be switched off globally -- :func:`disabled` for a
 scope (the golden-equivalence tests), or the ``REPRO_NO_MEMO=1``
@@ -48,6 +48,10 @@ __all__ = [
 DEFAULT_MAXSIZE = 4096
 
 _REGISTRY: "weakref.WeakSet[CostCache]" = weakref.WeakSet()
+
+#: Hit/miss/eviction counters of caches already garbage-collected, per
+#: name, so registry totals do not depend on when the collector runs.
+_RETIRED: Dict[str, Dict[str, int]] = {}
 
 _enabled = os.environ.get("REPRO_NO_MEMO", "").lower() not in ("1", "true", "yes")
 
@@ -142,6 +146,16 @@ class CostCache:
             self.evictions += 1
         data[key] = value
 
+    def __del__(self, _retired=_RETIRED) -> None:
+        # The default argument keeps the tally reachable at shutdown.
+        if self.hits or self.misses or self.evictions:
+            tally = _retired.setdefault(
+                self.name, {"hits": 0, "misses": 0, "evictions": 0}
+            )
+            tally["hits"] += self.hits
+            tally["misses"] += self.misses
+            tally["evictions"] += self.evictions
+
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         self._data.clear()
@@ -177,25 +191,43 @@ def iter_caches() -> List[CostCache]:
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Aggregated counters per cache name, in sorted-name order."""
-    merged: Dict[str, Dict[str, int]] = {}
-    for cache in iter_caches():
-        entry = merged.setdefault(
-            cache.name,
-            {"hits": 0, "misses": 0, "evictions": 0, "entries": 0, "caches": 0},
+    """Aggregated counters per cache name, in sorted-name order.
+
+    Hits, misses and evictions include caches that were garbage-
+    collected since the last :func:`clear_caches`; ``entries`` and
+    ``caches`` count live caches only.
+    """
+    def entry_for(name: str) -> Dict[str, int]:
+        return merged.setdefault(
+            name, {"hits": 0, "misses": 0, "evictions": 0, "entries": 0, "caches": 0}
         )
+
+    merged: Dict[str, Dict[str, int]] = {}
+    # Holding every live cache keeps any of them from retiring (and
+    # being counted twice) before the tally below is read.
+    caches = iter_caches()
+    for cache in caches:
+        entry = entry_for(cache.name)
         entry["hits"] += cache.hits
         entry["misses"] += cache.misses
         entry["evictions"] += cache.evictions
         entry["entries"] += len(cache)
         entry["caches"] += 1
-    return merged
+    for name, tally in _RETIRED.items():
+        entry = entry_for(name)
+        for field, value in tally.items():
+            entry[field] += value
+    return dict(sorted(merged.items()))
 
 
 def clear_caches(name: Optional[str] = None) -> int:
     """Clear every cache (or only those named ``name``); returns how
     many caches were cleared."""
     cleared = 0
+    if name is None:
+        _RETIRED.clear()
+    else:
+        _RETIRED.pop(name, None)
     for cache in iter_caches():
         if name is None or cache.name == name:
             cache.clear()

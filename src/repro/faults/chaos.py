@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.api.compat import positional_shim
 from repro.audit import ConfigError, get_auditor
 from repro.comm.api import HcclLibrary, NcclLibrary
 from repro.comm.topology import (
@@ -144,7 +143,6 @@ def _shed_reason_counts(requests: List[Request]) -> Counter:
     return shed_reason_counts(requests)
 
 
-@positional_shim("config")
 def run_chaos(*, config: ChaosConfig, ctx=None) -> ResilienceReport:
     """Run one fault-injected serving experiment end to end.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.api.compat import positional_shim
 from repro.hw.device import Device, MatmulResult
 from repro.hw.spec import DType
 
@@ -48,7 +47,6 @@ def operational_intensity(m: int, k: int, n: int, dtype: DType) -> float:
     return flops / compulsory
 
 
-@positional_shim("device", "m", "k", "n", "dtype")
 def run_gemm(
     *,
     device: Optional[Device] = None,

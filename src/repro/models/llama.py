@@ -29,7 +29,7 @@ from repro.kernels.paged_attention import (
     vllm_base_paged_attention,
     vllm_opt_paged_attention,
 )
-from repro.models.tensor_parallel import TensorParallelConfig
+from repro.models.tensor_parallel import CommEvent, TensorParallelConfig
 
 #: Per-layer dispatch overhead with CUDA Graphs / HPU Graphs enabled.
 _LAYER_DISPATCH = 1.5e-6
@@ -196,16 +196,18 @@ LLAMA_3_1_70B = LlamaConfig(
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """One phase (prefill, or a batch of decode steps)."""
+    """One phase (prefill, or a batch of decode steps).
+
+    ``collectives`` lists the per-layer collectives the phase priced,
+    in issue order, as ``(op, seconds, bytes)`` events -- empty when
+    there is no exchange (TP degree 1, or fewer than two survivors).
+    Observers (the serving engine's metrics and spans) read them here,
+    so pricing itself has no side effects and always memoizes.
+    """
 
     time: float
     activity: ActivityAccumulator
-
-    def merged(self, other: "PhaseEstimate") -> "PhaseEstimate":
-        acc = ActivityAccumulator()
-        acc.merge(self.activity)
-        acc.merge(other.activity)
-        return PhaseEstimate(time=self.time + other.time, activity=acc)
+    collectives: Tuple[CommEvent, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -364,24 +366,6 @@ class LlamaCostModel:
     def _layer_dispatch(self) -> float:
         return _LAYER_DISPATCH if self.use_graphs else _LAYER_DISPATCH_EAGER
 
-    @property
-    def _memo_ok(self) -> bool:
-        """Whether phase-level memoization is sound right now.
-
-        Two bypasses: (a) an observed tensor-parallel config must fire
-        its per-call allreduce metrics/trace events, and (b) a
-        non-static (degraded) topology prices live fault state, so its
-        collective costs change over virtual time.  The pure device
-        and kernel caches below this layer stay active either way.
-        """
-        tp = self.tp
-        if tp.metrics is not None or tp.queue_events:
-            return False
-        library = tp.library
-        if library is not None and not getattr(library.topology, "cache_static", True):
-            return False
-        return True
-
     # -- helpers ---------------------------------------------------------
     def _gemm(
         self, acc: ActivityAccumulator, m: int, k: int, n: int
@@ -396,10 +380,15 @@ class LlamaCostModel:
         del peak
         return result.time
 
-    def _allreduce(self, acc: ActivityAccumulator, size_bytes: float) -> float:
-        time = self.tp.allreduce_time(size_bytes)
-        acc.add_comm(time)
-        return time
+    def _allreduce(
+        self, acc: ActivityAccumulator, collectives: list, size_bytes: float
+    ) -> float:
+        event = self.tp.allreduce(size_bytes)
+        if event is None:
+            return 0.0
+        collectives.append(event)
+        acc.add_comm(event[1])
+        return event[1]
 
     def _elementwise(self, acc: ActivityAccumulator, cost) -> float:
         stream_bw = (
@@ -418,9 +407,8 @@ class LlamaCostModel:
         """Process the whole prompt; produces the first token."""
         if batch <= 0 or seq_len <= 0:
             raise ValueError("batch and seq_len must be positive")
-        if not self._memo_ok:
-            return self._prefill_uncached(batch, seq_len)
-        key = (batch, seq_len)
+        # Caches key on the fabric's fault state (None when static).
+        key = (batch, seq_len, self.tp.health_key())
         phase = self._prefill_cache.get(key)
         if phase is None:
             phase = self._prefill_uncached(batch, seq_len)
@@ -430,6 +418,7 @@ class LlamaCostModel:
     def _prefill_uncached(self, batch: int, seq_len: int) -> PhaseEstimate:
         cfg, tp = self.config, self.tp
         acc = ActivityAccumulator()
+        collectives: list = []
         tokens = batch * seq_len
         hd = cfg.head_dim
         time = 0.0
@@ -455,18 +444,18 @@ class LlamaCostModel:
         )
         acc.add_memory(min(attn.memory_time, attn.time))
         time += self._gemm(acc, tokens, tp.shard(cfg.q_heads * hd, "o-proj"), cfg.hidden_size)
-        time += self._allreduce(acc, tokens * cfg.hidden_size * cfg.dtype.itemsize)
+        time += self._allreduce(acc, collectives, tokens * cfg.hidden_size * cfg.dtype.itemsize)
         time += self._elementwise(acc, layernorm_cost(self.device.spec, tokens * cfg.hidden_size, cfg.dtype))
         time += self._gemm(acc, tokens, cfg.hidden_size, tp.shard(2 * cfg.intermediate_size, "mlp up"))
         time += self._elementwise(acc, activation_cost(self.device.spec, tokens * cfg.intermediate_size // tp.degree, cfg.dtype))
         time += self._gemm(acc, tokens, tp.shard(cfg.intermediate_size, "mlp down"), cfg.hidden_size)
-        time += self._allreduce(acc, tokens * cfg.hidden_size * cfg.dtype.itemsize)
+        time += self._allreduce(acc, collectives, tokens * cfg.hidden_size * cfg.dtype.itemsize)
         time += self._layer_dispatch
         time *= cfg.num_layers
         _scale_activity(acc, cfg.num_layers)
         # LM head for the first token only.
         time += self._gemm(acc, batch, cfg.hidden_size, tp.shard(cfg.vocab_size, "lm head"))
-        return PhaseEstimate(time=time, activity=acc)
+        return PhaseEstimate(time=time, activity=acc, collectives=tuple(collectives))
 
     def decode_step(
         self,
@@ -510,7 +499,7 @@ class LlamaCostModel:
         monolithic implementation, so times and activity are
         bit-identical whether or not any cache hits.
         """
-        terms = self._decode_terms(stats.batch)
+        terms, collectives = self._decode_terms(stats.batch)
         ln1, qkv, oproj, ar1, ln2, up, act, down, ar2, lm_head = terms
         cfg = self.config
         acc = ActivityAccumulator()
@@ -528,29 +517,31 @@ class LlamaCostModel:
         _scale_activity(acc, cfg.num_layers)
         time += lm_head[0]
         acc.merge(lm_head[1])
-        return PhaseEstimate(time=time, activity=acc)
+        return PhaseEstimate(time=time, activity=acc, collectives=collectives)
 
     def _decode_terms(self, batch: int):
-        """Per-call (time, activity) pairs for the non-attention slices
-        of one decode layer plus the LM head, memoized per batch size."""
-        if not self._memo_ok:
-            return self._decode_terms_uncached(batch)
-        terms = self._decode_terms_cache.get(batch)
+        """``(terms, collectives)``: per-call (time, activity) pairs for
+        the non-attention slices of one decode layer plus the LM head,
+        and the collectives they priced; memoized per batch size and
+        fabric fault state."""
+        key = (batch, self.tp.health_key())
+        terms = self._decode_terms_cache.get(key)
         if terms is None:
             terms = self._decode_terms_uncached(batch)
-            self._decode_terms_cache.put(batch, terms)
+            self._decode_terms_cache.put(key, terms)
         return terms
 
     def _decode_terms_uncached(self, batch: int):
         cfg, tp = self.config, self.tp
         hd = cfg.head_dim
+        collectives: list = []
 
         def term(fn):
             acc = ActivityAccumulator()
             return (fn(acc), acc)
 
         spec = self.device.spec
-        return (
+        terms = (
             term(lambda acc: self._elementwise(
                 acc, layernorm_cost(spec, batch * cfg.hidden_size, cfg.dtype))),
             term(lambda acc: self._gemm(
@@ -559,7 +550,7 @@ class LlamaCostModel:
             term(lambda acc: self._gemm(
                 acc, batch, tp.shard(cfg.q_heads * hd, "o-proj"), cfg.hidden_size)),
             term(lambda acc: self._allreduce(
-                acc, batch * cfg.hidden_size * cfg.dtype.itemsize)),
+                acc, collectives, batch * cfg.hidden_size * cfg.dtype.itemsize)),
             term(lambda acc: self._elementwise(
                 acc, layernorm_cost(spec, batch * cfg.hidden_size, cfg.dtype))),
             term(lambda acc: self._gemm(
@@ -569,10 +560,11 @@ class LlamaCostModel:
             term(lambda acc: self._gemm(
                 acc, batch, tp.shard(cfg.intermediate_size, "mlp down"), cfg.hidden_size)),
             term(lambda acc: self._allreduce(
-                acc, batch * cfg.hidden_size * cfg.dtype.itemsize)),
+                acc, collectives, batch * cfg.hidden_size * cfg.dtype.itemsize)),
             term(lambda acc: self._gemm(
                 acc, batch, cfg.hidden_size, tp.shard(cfg.vocab_size, "lm head"))),
         )
+        return terms, tuple(collectives)
 
     def _decode_attention(
         self,
@@ -582,7 +574,7 @@ class LlamaCostModel:
     ) -> float:
         """Merge the decode-attention term for ``stats`` into ``acc``
         and return its time.  Pure in the aggregates (no collective
-        calls), so it memoizes even on observed/degraded configs."""
+        calls), so its key carries no fault state."""
         key = (
             attention, stats.batch, stats.total_context,
             stats.total_blocks, stats.max_context, stats.block_size,
@@ -686,12 +678,7 @@ class LlamaCostModel:
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if not self._memo_ok:
-            raise RuntimeError(
-                "decode_stepper requires a memoizable config (no observed "
-                "metrics, no degraded topology); use decode_step_stats"
-            )
-        key = (attention, batch, block_size)
+        key = (attention, batch, block_size, self.tp.health_key())
         stepper = self._stepper_cache.get(key)
         if stepper is not None:
             return stepper
@@ -708,7 +695,7 @@ class LlamaCostModel:
     def _build_stepper(
         self, batch: int, attention: DecodeAttention, block_size: int
     ) -> Callable[[int, int, int, ActivityAccumulator], float]:
-        terms = self._decode_terms(batch)
+        terms, _ = self._decode_terms(batch)
         layers = self.config.num_layers
         lm_time, lm_acc = terms[9]
 

@@ -10,36 +10,32 @@ with TP degree (Figure 12(a)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.audit import get_auditor
 from repro.comm import CollectiveLibrary
 from repro.hw.device import Device
 
 
+#: One priced collective as the serving engine observes it:
+#: ``(op, seconds, bytes)``.
+CommEvent = Tuple[str, float, float]
+
+
 @dataclass
 class TensorParallelConfig:
     """TP degree plus the collective library serving it.
 
-    With observability bound (:meth:`bind_observability`), every
-    AllReduce is counted in the metrics registry and queued as a
-    pending ``(op, seconds, bytes)`` event the serving engine drains
-    into collective spans on its virtual clock.
+    Pricing through it is pure: the bound fabric's live fault state
+    enters cost-cache keys via :meth:`health_key`, and the collectives
+    a phase prices travel back on its
+    :class:`~repro.models.llama.PhaseEstimate` for the engine to
+    observe.
     """
 
     degree: int = 1
     library: Optional[CollectiveLibrary] = None
-    #: Metrics registry recording per-collective counters (None = off).
-    metrics: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Whether comm events queue for :meth:`drain_comm_events` (set it
-    #: only when something drains them, or the queue grows unbounded).
-    queue_events: bool = field(default=False, repr=False, compare=False)
-    #: Comm events since the last :meth:`drain_comm_events` call; only
-    #: populated while observability is bound.
-    _pending: List[Tuple[str, float, float]] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -73,39 +69,29 @@ class TensorParallelConfig:
             return self.degree
         return self.library.alive_participants(self.degree)
 
-    def allreduce_time(self, size_bytes: float) -> float:
+    def health_key(self) -> Optional[Tuple]:
+        """Fault-state key of the bound fabric (None when static)."""
+        if self.library is None:
+            return None
+        return self.library.topology.health_key()
+
+    def allreduce(self, size_bytes: float) -> Optional[CommEvent]:
         """One activation AllReduce across the (possibly degraded) TP
-        group; with fewer than two survivors there is no exchange."""
+        group, or None when there is no exchange (degree 1, or fewer
+        than two survivors)."""
         if self.degree == 1:
-            return 0.0
+            return None
         assert self.library is not None
         participants = self.effective_degree()
         if participants < 2:
-            return 0.0
+            return None
         time = self.library.all_reduce(size_bytes, participants).time
         auditor = get_auditor()
         if auditor is not None:
             auditor.check_collective(time, size_bytes, participants, self.degree)
-        if self.metrics is not None:
-            self.metrics.counter("comm.allreduce.calls").inc()
-            self.metrics.counter("comm.allreduce.bytes").inc(size_bytes)
-            self.metrics.histogram("comm.allreduce.seconds").observe(time)
-        if self.queue_events:
-            self._pending.append(("all_reduce", time, size_bytes))
-        return time
+        return ("all_reduce", time, size_bytes)
 
-    # -- observability -----------------------------------------------------
-    def bind_observability(self, metrics, queue_events: bool = False) -> None:
-        """Attach a metrics registry (or None to detach); with
-        ``queue_events`` set, comm events also queue for
-        :meth:`drain_comm_events`."""
-        self.metrics = metrics
-        self.queue_events = queue_events
-        self._pending.clear()
-
-    def drain_comm_events(self) -> List[Tuple[str, float, float]]:
-        """Return and clear the ``(op, seconds, bytes)`` events queued
-        since the last drain (the engine turns them into spans)."""
-        events = list(self._pending)
-        self._pending.clear()
-        return events
+    def allreduce_time(self, size_bytes: float) -> float:
+        """Seconds of :meth:`allreduce` (0.0 without an exchange)."""
+        event = self.allreduce(size_bytes)
+        return 0.0 if event is None else event[1]

@@ -35,6 +35,7 @@ from repro.audit import (
 )
 from repro.hw.power import ActivityAccumulator, PowerModel
 from repro.models.llama import DecodeAttention, DecodeBatchStats, LlamaCostModel
+from repro.models.tensor_parallel import CommEvent
 from repro.serving.engine_core import (
     SLOT_FAILED,
     SLOT_FINISHED,
@@ -333,16 +334,13 @@ class LlmServingEngine:
 
     def bind_context(self, ctx) -> None:
         """Bind a :class:`~repro.api.RunContext` (or None to unbind),
-        propagating its tracer/metrics to the scheduler, KV block
-        manager, and tensor-parallel collective hooks."""
+        propagating its tracer/metrics to the scheduler and KV block
+        manager."""
         self.ctx = ctx
         self._tracer = ctx.tracer if ctx is not None else None
         self._metrics = ctx.metrics if ctx is not None else None
         self.scheduler.bind_observability(self._tracer, self._metrics)
         self.block_manager.bind_metrics(self._metrics)
-        self.model.tp.bind_observability(
-            self._metrics, queue_events=self._tracer is not None
-        )
 
     # -- observability helpers -----------------------------------------
     def _trace_request_begin(self, request: Request, now: float) -> None:
@@ -358,26 +356,28 @@ class LlmServingEngine:
             prompt_tokens=request.input_tokens,
         )
 
-    def _emit_comm_spans(self, end: float) -> None:
-        """Lay the collectives queued during the last model phase as
+    def _observe_collectives(self, events: Sequence[CommEvent], end: float) -> None:
+        """Record the collectives one model phase priced (its
+        ``PhaseEstimate.collectives``): ``comm.<op>.*`` metrics, and
         back-to-back spans ending at ``end``.
 
         The cost model reports AllReduce durations, not timestamps, so
         the spans are reconstructed at the tail of the phase window --
         which is where they sit in a real execution: the activation
         AllReduce follows the sharded matmuls it synchronises."""
+        if not events:
+            return
+        metrics = self._metrics
+        if metrics is not None:
+            for op, seconds, size_bytes in events:
+                name = f"comm.{op.replace('_', '')}"
+                metrics.counter(f"{name}.calls").inc()
+                metrics.counter(f"{name}.bytes").inc(size_bytes)
+                metrics.histogram(f"{name}.seconds").observe(seconds)
         tracer = self._tracer
         if tracer is None:
             return
-        events = self.model.tp.drain_comm_events()
-        if not events:
-            return
-        library = self.model.tp.library
-        prefix = (
-            type(library).__name__.replace("Library", "").lower()
-            if library is not None
-            else "comm"
-        )
+        prefix = type(self.model.tp.library).__name__.replace("Library", "").lower()
         start = end - sum(seconds for _, seconds, _ in events)
         for op, seconds, size_bytes in events:
             tracer.record(
@@ -675,7 +675,7 @@ class LlmServingEngine:
                 self._activity.merge(phase.activity)
                 if step_activity is not None:
                     step_activity.merge(phase.activity)
-                    self._emit_comm_spans(now)
+                    self._observe_collectives(phase.collectives, now)
                 if prefill_span is not None:
                     tracer.end(prefill_span, now)
                 request.record_token(now)
@@ -717,7 +717,7 @@ class LlmServingEngine:
             self._activity.merge(phase.activity)
             if step_activity is not None:
                 step_activity.merge(phase.activity)
-                self._emit_comm_spans(now)
+                self._observe_collectives(phase.collectives, now)
             if decode_span is not None:
                 tracer.end(decode_span, now)
             self._steps += 1

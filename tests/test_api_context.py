@@ -1,10 +1,10 @@
-"""Redesigned run API: RunContext, positional shims, Report protocol."""
+"""Redesigned run API: RunContext, keyword-only entry points, Report protocol."""
 
 import json
 
 import pytest
 
-from repro.api import Report, RunContext, positional_shim, render_report, rows_to_csv
+from repro.api import Report, RunContext, render_report, rows_to_csv
 from repro.hw.spec import DType
 from repro.hw.device import Gaudi2Device
 from repro.kernels.gather_scatter import run_gather_scatter
@@ -47,53 +47,13 @@ class TestRunContext:
             ctx.metrics_summary()
 
 
-class TestPositionalShim:
-    def test_maps_positionals_and_warns(self):
-        @positional_shim("a", "b")
-        def fn(*, a, b=2):
-            """Test fixture."""
-            return (a, b)
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert fn(1, 9) == (1, 9)
-
-    def test_keyword_calls_stay_silent(self, recwarn):
-        @positional_shim("a")
-        def fn(*, a):
-            """Test fixture."""
-            return a
-
-        assert fn(a=3) == 3
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_excess_positionals_rejected(self):
-        @positional_shim("a")
-        def fn(*, a):
-            """Test fixture."""
-            return a
-
-        with pytest.raises(TypeError, match="positional"):
-            fn(1, 2)
-
-    def test_duplicate_argument_rejected(self):
-        @positional_shim("a")
-        def fn(*, a):
-            """Test fixture."""
-            return a
-
-        with pytest.raises(TypeError, match="'a'"):
-            with pytest.warns(DeprecationWarning):
-                fn(1, a=2)
-
-
 class TestMigratedEntryPoints:
-    """Every migrated run_* accepts ctx= and still honours old positionals."""
+    """Every migrated run_* accepts ctx= and takes keyword arguments only."""
 
-    def test_run_gemm_positional_warns(self, gaudi):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_gemm(gaudi, 128, 128, 128)
-        modern = run_gemm(device=gaudi, m=128, k=128, n=128)
-        assert legacy.time == modern.time
+    def test_run_gemm_rejects_positional(self, gaudi):
+        with pytest.raises(TypeError):
+            run_gemm(gaudi, 128, 128, 128)
+        assert run_gemm(device=gaudi, m=128, k=128, n=128).time > 0
 
     def test_run_gemm_uses_ctx_device_and_records(self):
         ctx = RunContext.create(device="gaudi2")
@@ -106,11 +66,10 @@ class TestMigratedEntryPoints:
         with pytest.raises(TypeError, match="device"):
             run_gemm(m=64, k=64, n=64)
 
-    def test_run_stream_positional_warns(self, gaudi):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_stream(gaudi, StreamOp.ADD)
-        modern = run_stream(device=gaudi, op=StreamOp.ADD)
-        assert legacy.time == modern.time
+    def test_run_stream_rejects_positional(self, gaudi):
+        with pytest.raises(TypeError):
+            run_stream(gaudi, StreamOp.ADD)
+        assert run_stream(device=gaudi, op=StreamOp.ADD).time > 0
 
     def test_run_stream_records_kernel_span(self):
         ctx = RunContext.create(device="gaudi2")
@@ -119,11 +78,10 @@ class TestMigratedEntryPoints:
         assert ctx.tracer.spans[0].category == "kernel"
 
     def test_run_gather_scatter_both_forms(self, gaudi):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_gather_scatter(gaudi, 1024)
+        explicit = run_gather_scatter(device=gaudi, vector_bytes=1024)
         ctx = RunContext.create(device="gaudi2")
-        modern = run_gather_scatter(vector_bytes=1024, ctx=ctx)
-        assert legacy.time == modern.time
+        from_ctx = run_gather_scatter(vector_bytes=1024, ctx=ctx)
+        assert explicit.time == from_ctx.time
         assert ctx.tracer.spans[0].name == "gather"
 
     def test_run_load_test_accepts_ctx(self, gaudi):
@@ -142,14 +100,14 @@ class TestMigratedEntryPoints:
         assert ctx.tracer.open_spans == 0
         assert ctx.metrics.counter("engine.steps").value > 0
 
-    def test_run_figure_positional_warns(self):
+    def test_run_figure_rejects_positional(self):
         from repro.figures import run_figure
 
-        with pytest.warns(DeprecationWarning):
-            legacy = run_figure("fig04", True)
+        with pytest.raises(TypeError):
+            run_figure("fig04", True)
         ctx = RunContext.create(trace=False)
-        modern = run_figure(figure_id="fig04", fast=True, ctx=ctx)
-        assert legacy.figure_id == modern.figure_id
+        result = run_figure(figure_id="fig04", fast=True, ctx=ctx)
+        assert result.figure_id == "fig04"
         assert ctx.metrics.counter("figures.runs").value == 1
 
     def test_run_chaos_keyword_form(self):

@@ -28,7 +28,7 @@ class TestKillOneOfEight:
     """ISSUE acceptance: kill 1 of 8 devices mid-run at TP=8."""
 
     def test_completes_and_recovers(self):
-        report = run_chaos(_config(plan=_kill_plan()))
+        report = run_chaos(config=_config(plan=_kill_plan()))
         assert report.device_failures == 1
         assert report.alive_devices == 7
         assert report.fault_preemptions > 0
@@ -40,55 +40,55 @@ class TestKillOneOfEight:
     def test_goodput_degrades_consistently_with_port_loss(self):
         """Losing 1 of 8 devices leaves (7-1)*3 of 21 ports: the Fig. 10
         cliff must show up in both the fabric and the goodput."""
-        faulty = run_chaos(_config(plan=_kill_plan()))
-        healthy = run_chaos(_config())
+        faulty = run_chaos(config=_config(plan=_kill_plan()))
+        healthy = run_chaos(config=_config())
         assert faulty.bandwidth_retention == pytest.approx(6 / 7, rel=0.01)
         assert healthy.bandwidth_retention == pytest.approx(1.0)
         assert faulty.goodput_tokens_per_s < healthy.goodput_tokens_per_s
 
     def test_same_seed_byte_identical_report(self):
-        first = run_chaos(_config(plan=_kill_plan()))
-        second = run_chaos(_config(plan=_kill_plan()))
+        first = run_chaos(config=_config(plan=_kill_plan()))
+        second = run_chaos(config=_config(plan=_kill_plan()))
         assert first.render() == second.render()
         assert first.to_dict() == second.to_dict()
 
     def test_different_seed_differs(self):
-        base = run_chaos(_config(plan=_kill_plan()))
-        other = run_chaos(_config(seed=1, plan=FaultPlan(seed=1).fail_device(3, at=1.5)))
+        base = run_chaos(config=_config(plan=_kill_plan()))
+        other = run_chaos(config=_config(seed=1, plan=FaultPlan(seed=1).fail_device(3, at=1.5)))
         assert base.render() != other.render()
 
 
 class TestDegradationModes:
     def test_hbm_throttle_slows_run(self):
         throttled = run_chaos(
-            _config(plan=FaultPlan().throttle_hbm(0.5, at=0.0))
+            config=_config(plan=FaultPlan().throttle_hbm(0.5, at=0.0))
         )
-        healthy = run_chaos(_config())
+        healthy = run_chaos(config=_config())
         assert throttled.total_time > 1.5 * healthy.total_time
 
     def test_straggler_paces_whole_batch(self):
         straggling = run_chaos(
-            _config(plan=FaultPlan().straggler(2, 0.5, at=0.0))
+            config=_config(plan=FaultPlan().straggler(2, 0.5, at=0.0))
         )
-        healthy = run_chaos(_config())
+        healthy = run_chaos(config=_config())
         assert straggling.total_time > 1.5 * healthy.total_time
 
     def test_kernel_faults_cost_retries_not_requests(self):
         report = run_chaos(
-            _config(plan=FaultPlan(seed=0, kernel_fault_rate=0.05))
+            config=_config(plan=FaultPlan(seed=0, kernel_fault_rate=0.05))
         )
         assert report.kernel_retries > 0
         assert report.finished_requests == report.num_requests
 
     def test_link_flap_survives(self):
         report = run_chaos(
-            _config(plan=FaultPlan().flap_link(0, 1, at=0.5, period=0.4, cycles=4))
+            config=_config(plan=FaultPlan().flap_link(0, 1, at=0.5, period=0.4, cycles=4))
         )
         assert report.finished_requests == report.num_requests
 
     def test_a100_switch_keeps_bandwidth_flat(self):
         report = run_chaos(
-            _config(device="a100", plan=FaultPlan().fail_device(3, at=1.5))
+            config=_config(device="a100", plan=FaultPlan().fail_device(3, at=1.5))
         )
         assert report.device_failures == 1
         # NVSwitch isolates the failure: survivors keep ~full bandwidth
@@ -100,7 +100,7 @@ class TestDegradationModes:
         plan = FaultPlan()
         for device in range(8):
             plan.fail_device(device, at=0.5)
-        report = run_chaos(_config(plan=plan, num_requests=32))
+        report = run_chaos(config=_config(plan=plan, num_requests=32))
         assert report.alive_devices == 0
         assert report.failed_requests > 0
         assert report.finished_requests + report.failed_requests == 32
@@ -111,13 +111,13 @@ class TestDegradationModes:
         for device in range(8):
             plan.fail_device(device, at=0.5)
         plan.fail_device(7, at=0.6, recover_at=1.0)
-        report = run_chaos(_config(plan=plan, num_requests=32))
+        report = run_chaos(config=_config(plan=plan, num_requests=32))
         assert report.failed_requests == 0
         assert report.finished_requests == 32
         assert report.alive_devices == 1
 
     def test_tp1_runs_without_fabric(self):
-        report = run_chaos(_config(tp=1, num_requests=16))
+        report = run_chaos(config=_config(tp=1, num_requests=16))
         assert report.healthy_allreduce_bw == 0.0
         assert report.finished_requests == 16
 
@@ -181,8 +181,8 @@ class TestResilientLoadgen:
             )
 
         report = run_resilient_load_test(
-            engine_factory,
-            lambda: fixed_length_requests(24, input_len=256, output_len=32),
+            engine_factory=engine_factory,
+            request_factory=lambda: fixed_length_requests(24, input_len=256, output_len=32),
             offered_rate=400.0,
         )
         assert report.shed > 0
@@ -201,8 +201,8 @@ class TestResilientLoadgen:
             )
 
         report = run_resilient_load_test(
-            engine_factory,
-            lambda: fixed_length_requests(8, input_len=128, output_len=16),
+            engine_factory=engine_factory,
+            request_factory=lambda: fixed_length_requests(8, input_len=128, output_len=16),
             offered_rate=1.0,
         )
         assert report.finished == 8

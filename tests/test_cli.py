@@ -32,7 +32,7 @@ class TestCommands:
         assert "MME" in out and "CTA" in out
 
     def test_gemm_gaudi3(self, capsys):
-        assert main(["gemm", "4096", "4096", "4096", "--devices", "gaudi3"]) == 0
+        assert main(["gemm", "4096", "4096", "4096", "--backend", "gaudi3"]) == 0
         assert "Gaudi-3" in capsys.readouterr().out
 
     def test_figures_single(self, capsys, tmp_path):
@@ -46,8 +46,8 @@ class TestCommands:
         assert "throughput" in out and "TTFT" in out
 
     def test_smi_both_vendors(self, capsys):
-        assert main(["smi", "--device", "gaudi2", "--workload", "llm"]) == 0
-        assert main(["smi", "--device", "a100", "--workload", "recsys"]) == 0
+        assert main(["smi", "--backend", "gaudi2", "--workload", "llm"]) == 0
+        assert main(["smi", "--backend", "a100", "--workload", "recsys"]) == 0
         out = capsys.readouterr().out
         assert "Gaudi-2" in out and "A100" in out
 

@@ -13,7 +13,7 @@ from repro.figures import run_figure
 
 @pytest.fixture(scope="module")
 def headline():
-    return run_figure("headline", fast=True).summary
+    return run_figure(figure_id="headline", fast=True).summary
 
 
 class TestEmbeddingClaims:

@@ -14,23 +14,23 @@ _FAST = dict(num_vectors=200_000)
 
 class TestGaudiBehaviour:
     def test_large_vectors_near_random_ceiling(self, gaudi):
-        result = run_gather_scatter(gaudi, 256, **_FAST)
+        result = run_gather_scatter(device=gaudi, vector_bytes=256, **_FAST)
         assert result.bandwidth_utilization == pytest.approx(0.68, abs=0.05)
 
     def test_sub_granule_waste(self, gaudi):
         """Utilization scales with vector_size / 256 below the granule."""
-        u64 = run_gather_scatter(gaudi, 64, **_FAST).bandwidth_utilization
-        u256 = run_gather_scatter(gaudi, 256, **_FAST).bandwidth_utilization
+        u64 = run_gather_scatter(device=gaudi, vector_bytes=64, **_FAST).bandwidth_utilization
+        u256 = run_gather_scatter(device=gaudi, vector_bytes=256, **_FAST).bandwidth_utilization
         assert u64 == pytest.approx(u256 / 4, rel=0.1)
 
     def test_scatter_rmw_penalty(self, gaudi):
-        gather = run_gather_scatter(gaudi, 64, **_FAST)
-        scatter = run_gather_scatter(gaudi, 64, is_scatter=True, **_FAST)
+        gather = run_gather_scatter(device=gaudi, vector_bytes=64, **_FAST)
+        scatter = run_gather_scatter(device=gaudi, vector_bytes=64, is_scatter=True, **_FAST)
         assert scatter.bandwidth_utilization < gather.bandwidth_utilization
 
     def test_no_locality_benefit_from_small_fractions(self, gaudi):
-        small = run_gather_scatter(gaudi, 128, fraction_accessed=0.05, **_FAST)
-        full = run_gather_scatter(gaudi, 128, fraction_accessed=1.0, **_FAST)
+        small = run_gather_scatter(device=gaudi, vector_bytes=128, fraction_accessed=0.05, **_FAST)
+        full = run_gather_scatter(device=gaudi, vector_bytes=128, fraction_accessed=1.0, **_FAST)
         assert small.bandwidth_utilization == pytest.approx(
             full.bandwidth_utilization, rel=0.15
         )
@@ -39,16 +39,16 @@ class TestGaudiBehaviour:
 class TestA100Behaviour:
     def test_paper_average_utilizations(self, a100):
         """Paper: ~72 % for >=256 B, ~36 % average for <=128 B."""
-        large = [run_gather_scatter(a100, s, **_FAST).bandwidth_utilization
+        large = [run_gather_scatter(device=a100, vector_bytes=s, **_FAST).bandwidth_utilization
                  for s in (256, 512, 1024, 2048)]
-        small = [run_gather_scatter(a100, s, **_FAST).bandwidth_utilization
+        small = [run_gather_scatter(device=a100, vector_bytes=s, **_FAST).bandwidth_utilization
                  for s in (16, 32, 64, 128)]
         assert sum(large) / 4 == pytest.approx(0.72, abs=0.04)
         assert sum(small) / 4 == pytest.approx(0.36, abs=0.06)
 
     def test_l2_resident_fraction_boosts_utilization(self, a100):
-        hot = run_gather_scatter(a100, 128, fraction_accessed=0.02)
-        cold = run_gather_scatter(a100, 128, fraction_accessed=1.0)
+        hot = run_gather_scatter(device=a100, vector_bytes=128, fraction_accessed=0.02)
+        cold = run_gather_scatter(device=a100, vector_bytes=128, fraction_accessed=1.0)
         assert hot.bandwidth_utilization > cold.bandwidth_utilization
 
 
@@ -56,18 +56,18 @@ class TestCrossDevice:
     def test_small_vector_gap_matches_paper(self, gaudi, a100):
         """Paper: a 2.4x gap for sub-256 B gathers."""
         gaudi_small = sum(
-            run_gather_scatter(gaudi, s, **_FAST).bandwidth_utilization * 2.45
+            run_gather_scatter(device=gaudi, vector_bytes=s, **_FAST).bandwidth_utilization * 2.45
             for s in (16, 32, 64, 128)
         )
         a100_small = sum(
-            run_gather_scatter(a100, s, **_FAST).bandwidth_utilization * 2.0
+            run_gather_scatter(device=a100, vector_bytes=s, **_FAST).bandwidth_utilization * 2.0
             for s in (16, 32, 64, 128)
         )
         assert a100_small / gaudi_small == pytest.approx(2.4, abs=0.7)
 
     def test_parity_at_large_vectors(self, gaudi, a100):
-        rg = run_gather_scatter(gaudi, 1024, **_FAST)
-        ra = run_gather_scatter(a100, 1024, **_FAST)
+        rg = run_gather_scatter(device=gaudi, vector_bytes=1024, **_FAST)
+        ra = run_gather_scatter(device=a100, vector_bytes=1024, **_FAST)
         ratio = (rg.bandwidth_utilization * 2.45) / (ra.bandwidth_utilization * 2.0)
         assert 0.85 < ratio < 1.4
 
@@ -75,13 +75,13 @@ class TestCrossDevice:
 class TestValidation:
     def test_invalid_vector_size(self, gaudi):
         with pytest.raises(ValueError):
-            run_gather_scatter(gaudi, 0)
+            run_gather_scatter(device=gaudi, vector_bytes=0)
 
     def test_invalid_fraction(self, gaudi):
         with pytest.raises(ValueError):
-            run_gather_scatter(gaudi, 256, fraction_accessed=0.0)
+            run_gather_scatter(device=gaudi, vector_bytes=256, fraction_accessed=0.0)
         with pytest.raises(ValueError):
-            run_gather_scatter(gaudi, 256, fraction_accessed=1.5)
+            run_gather_scatter(device=gaudi, vector_bytes=256, fraction_accessed=1.5)
 
 
 class TestFunctional:

@@ -28,20 +28,20 @@ class TestOperationalIntensity:
 
 class TestRunGemm:
     def test_point_fields(self, gaudi):
-        point = run_gemm(gaudi, 1024, 1024, 1024)
+        point = run_gemm(device=gaudi, m=1024, k=1024, n=1024)
         assert isinstance(point, GemmPoint)
         assert point.device == "Gaudi-2"
         assert point.achieved_tflops > 0
         assert point.config_label.startswith("MME")
 
     def test_gaudi_8192_matches_paper(self, gaudi):
-        point = run_gemm(gaudi, 8192, 8192, 8192)
+        point = run_gemm(device=gaudi, m=8192, k=8192, n=8192)
         assert point.achieved_tflops == pytest.approx(429, abs=5)
 
     def test_gaudi_beats_a100_on_irregular(self, gaudi, a100):
         for size in (2048, 8192):
-            pg = run_gemm(gaudi, size, size, 16)
-            pa = run_gemm(a100, size, size, 16)
+            pg = run_gemm(device=gaudi, m=size, k=size, n=16)
+            pa = run_gemm(device=a100, m=size, k=size, n=16)
             assert pg.achieved_tflops > pa.achieved_tflops
 
 

@@ -66,19 +66,31 @@ class TestPoissonArrivals:
 
 class TestLoadTest:
     def test_light_load_not_saturated(self):
-        report = run_load_test(_engine_factory(), _request_factory(), offered_rate=2.0)
+        report = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=2.0,
+        )
         assert not report.saturated
         assert report.mean_ttft < 1.0
 
     def test_overload_saturates(self):
-        report = run_load_test(_engine_factory(max_batch=2), _request_factory(48),
-                               offered_rate=500.0)
+        report = run_load_test(
+            engine_factory=_engine_factory(max_batch=2),
+            request_factory=_request_factory(48),
+            offered_rate=500.0,
+        )
         assert report.saturated
         assert report.achieved_rate < report.offered_rate
 
     def test_latency_grows_with_load(self):
-        light = run_load_test(_engine_factory(), _request_factory(), 2.0)
-        heavy = run_load_test(_engine_factory(), _request_factory(), 200.0)
+        light = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=2.0,
+        )
+        heavy = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=200.0,
+        )
         assert heavy.p99_ttft > light.p99_ttft
         assert heavy.p99_ttft >= heavy.mean_ttft
 
@@ -125,7 +137,10 @@ class TestSustainableRate:
         )
         assert 1.0 <= rate <= 500.0
         # The found rate must itself be sustainable.
-        report = run_load_test(_engine_factory(), _request_factory(), rate)
+        report = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=rate,
+        )
         assert not report.saturated
 
     def test_invalid_bounds(self):

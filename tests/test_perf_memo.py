@@ -6,8 +6,12 @@ decode statistics must match a from-scratch rebuild, and unobserved
 serving runs must not allocate observability state per step.
 """
 
+import gc
+import json
+
 import pytest
 
+from repro.audit import audit_scope
 from repro.core import memo
 from repro.core.memo import CostCache
 from repro.core.parallel import resolve_worker_count
@@ -95,6 +99,33 @@ class TestCostCache:
         assert entry["caches"] == 2
         assert entry["hits"] == 1
         assert entry["misses"] == 1
+
+    def test_stats_outlive_garbage_collected_caches(self):
+        cache = CostCache("test.retired", maxsize=4)
+        cache.put("k", 1)
+        cache.get("k")
+        cache.get("missing")
+        del cache
+        gc.collect()
+        entry = memo.cache_stats()["test.retired"]
+        assert (entry["hits"], entry["misses"], entry["caches"]) == (1, 1, 0)
+        memo.clear_caches("test.retired")
+        assert "test.retired" not in memo.cache_stats()
+
+    def test_fleet_llama_cache_stats_survive_the_run(self):
+        """Per-node TP=8 llama caches die with their nodes when
+        ``run_fleet`` returns; their lookups must still be counted."""
+        from repro.cluster import FleetConfig, run_fleet
+
+        memo.clear_caches()
+        run_fleet(FleetConfig(nodes=(("gaudi2", 2),), tp=8, num_requests=16, seed=1))
+        gc.collect()
+        prefill = [
+            entry for name, entry in memo.cache_stats().items()
+            if name.startswith("llama.prefill[") and name.endswith("tp=8]")
+        ]
+        assert prefill
+        assert sum(entry["hits"] + entry["misses"] for entry in prefill) > 0
 
     def test_publish_metrics_adds_only_deltas(self):
         from repro.obs.metrics import MetricsRegistry
@@ -208,6 +239,19 @@ def _serving_report_dict(num_requests=24, seed=3):
     return engine.run(dynamic_sonnet_requests(num_requests, seed=seed)).to_dict()
 
 
+def _strict_memo_on_off(run):
+    """``run()``'s payload from cold caches, warm caches and with
+    memoization off, all under the strict auditor (no violations)."""
+    with audit_scope("strict") as auditor:
+        memo.clear_caches()
+        cold_caches = run()
+        warm = run()
+        with memo.disabled():
+            uncached = run()
+        assert auditor.total_violations == 0
+    return cold_caches, warm, uncached
+
+
 class TestServingEquivalence:
     def test_report_byte_identical_memo_on_off(self):
         memo.clear_caches()
@@ -231,9 +275,47 @@ class TestServingEquivalence:
             assert result.summary == cold.summary
             assert result.text == cold.text
 
+    def test_fleet_under_faults_byte_identical_memo_on_off(self):
+        """Crash, brownout and fabric faults reprice collectives mid-run;
+        caches keyed on fabric health must reproduce the cold run."""
+        from repro.cluster import FleetConfig, NodeFaultPlan, run_fleet
+
+        config = FleetConfig(
+            nodes=(("gaudi2", 3),), tp=8, num_requests=40, rate=12.0, seed=5,
+            timeout=20.0, plan=NodeFaultPlan.from_spec(
+                "crash:gaudi2-1@t=1,recover=3;"
+                "brownout:gaudi2-0@t=0.5,factor=0.5,until=2.5;"
+                "fabric:gaudi2-2@t=0.5,factor=0.25,until=2"
+            ),
+        )
+        cold_caches, warm, uncached = _strict_memo_on_off(
+            lambda: run_fleet(config).to_json()
+        )
+        assert cold_caches == uncached
+        assert warm == uncached
+
+    def test_chaos_under_faults_byte_identical_memo_on_off(self):
+        """Device failure, recovery and a degraded link: the Fig. 10
+        port-cliff pricing must come out the same cached or not."""
+        from repro.faults import ChaosConfig, FaultPlan, run_chaos
+
+        plan = (
+            FaultPlan(seed=0)
+            .fail_device(3, at=0.5, recover_at=1.5)
+            .degrade_link(0, 1, 0.5, at=1.0, until=2.0)
+        )
+        config = ChaosConfig(tp=8, seed=0, num_requests=48, max_decode_batch=16, plan=plan)
+        cold_caches, warm, uncached = _strict_memo_on_off(
+            lambda: run_chaos(config=config).to_json()
+        )
+        report = json.loads(uncached)
+        assert report["device_failures"] == report["device_recoveries"] == 1
+        assert cold_caches == uncached
+        assert warm == uncached
+
     def test_observed_run_equals_unobserved(self):
-        """Binding a RunContext disables the llama-term caches (their
-        allreduce side effects must fire); the report must not move."""
+        """Observation reads the collectives each priced phase carries
+        (pricing itself stays cached); the report must not move."""
         from repro.api import RunContext
         from repro.models.tensor_parallel import TensorParallelConfig
 

@@ -6,6 +6,7 @@ the tracer runs on the engine's virtual clock, so there is no wall-time
 jitter to forgive.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -13,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.api import RunContext
+from repro.core import memo
 from repro.hw.device import Gaudi2Device
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
 from repro.models.tensor_parallel import TensorParallelConfig
@@ -43,11 +45,31 @@ def _traced_run(seed: int = 0) -> RunContext:
     return ctx
 
 
+#: sha256 of the seed-0 TP=4 run's chrome trace and metrics JSON.  The
+#: collective spans and ``comm.allreduce.*`` metrics come from the
+#: collectives each priced phase carries, so cached and uncached
+#: pricing must both reproduce these bytes.
+_GOLDEN_TRACE_SHA256 = "52c61ce822fddfa9631e5140f33065ac7096aee3c9494213553f57708609fc19"
+_GOLDEN_METRICS_SHA256 = "6ebc3b3f22f7a061e41c527025c93684f36d96ba655bf8390d7ebfef5e359993"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGoldenTrace:
     def test_same_seed_runs_are_byte_identical(self):
         first = _traced_run(seed=0).chrome_trace()
         second = _traced_run(seed=0).chrome_trace()
         assert first == second
+
+    def test_observed_tp4_run_matches_pinned_hashes(self):
+        with memo.disabled():
+            uncached = _traced_run(seed=0)
+        for ctx in (uncached, _traced_run(seed=0), _traced_run(seed=0)):
+            assert _sha256(ctx.chrome_trace()) == _GOLDEN_TRACE_SHA256
+            assert _sha256(ctx.metrics.to_json()) == _GOLDEN_METRICS_SHA256
+            assert ctx.metrics.counter("comm.allreduce.calls").value == 82
 
     def test_trace_passes_schema_check(self):
         checker = _load_checker()
