@@ -248,14 +248,13 @@ class Auditor:
 
     # -- vectorized engine core ---------------------------------------
     def check_core_invariants(self, core) -> None:
-        """Vectorized invariant sweep over a fast-path
+        """Vectorized invariant sweep over the serving engine's
         :class:`~repro.serving.engine_core.EngineCore`.
 
-        The scalar engine audits through per-object hooks; the
-        struct-of-arrays fast path has no per-token object traffic, so
+        The struct-of-arrays core has no per-token object traffic, so
         its invariants are asserted directly on the slot arrays: cheap
-        shadow-KV block conservation every call, plus a sampled deep
-        scan for slot aliasing and per-slot state legality.
+        KV block conservation every call, plus a sampled deep scan for
+        slot aliasing and per-slot state legality.
         """
         import numpy as np
 
@@ -269,7 +268,7 @@ class Auditor:
         self.check(
             core.free_blocks + held == core.num_blocks,
             KvConservationError,
-            f"shadow block conservation broken: {core.free_blocks} free + "
+            f"block conservation broken: {core.free_blocks} free + "
             f"{held} held != {core.num_blocks} total",
         )
         if not self._deep_gate.fire():
@@ -304,12 +303,15 @@ class Auditor:
                     f"engine core: slots {bad} hold tokens without a "
                     "first-token timestamp"
                 ))
-        waiting = core.waiting_slots()
-        if waiting:
-            arrivals = core.arrival[np.asarray(waiting, dtype=np.intp)]
-            if bool(np.any(arrivals[1:] < arrivals[:-1])):
+        waiting = np.asarray(core.waiting_slots(), dtype=np.intp)
+        if len(waiting) > 1:
+            tiers, arrivals = core.tier[waiting], core.arrival[waiting]
+            if bool(np.any(
+                (tiers[1:] < tiers[:-1])
+                | ((tiers[1:] == tiers[:-1]) & (arrivals[1:] < arrivals[:-1]))
+            )):
                 self.record_violation(LifecycleError(
-                    "engine core: waiting queue is not arrival-sorted"
+                    "engine core: waiting queue is not (tier, arrival)-sorted"
                 ))
 
     # -- collectives ---------------------------------------------------

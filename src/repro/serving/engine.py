@@ -20,41 +20,28 @@ wasted step rather than the run.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.audit import (
-    ConfigError,
-    KvConservationError,
-    Watchdog,
-    WatchdogExceeded,
-    get_auditor,
-)
+from repro.audit import ConfigError, Watchdog, WatchdogExceeded, get_auditor
 from repro.hw.power import ActivityAccumulator, PowerModel
 from repro.models.llama import DecodeAttention, DecodeBatchStats, LlamaCostModel
 from repro.models.tensor_parallel import CommEvent
 from repro.serving.engine_core import (
-    SLOT_FAILED,
     SLOT_FINISHED,
     SLOT_RUNNING,
-    SLOT_SHED,
     SLOT_WAITING,
     EngineCore,
     ReportAggregates,
     bump_counter,
 )
-from repro.serving.kv_cache import BlockManager, KvCacheError
-from repro.serving.request import DEFAULT_TIER, Request, RequestState, RetryPolicy
-from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.serving.kv_cache import KvCacheError, KvCacheStats
+from repro.serving.request import Request, RequestState, RetryPolicy
 
 #: Default KV block size in tokens (matches the paged-attention kernel).
 DEFAULT_BLOCK_SIZE = 128
-
-#: Accepted ``engine_mode`` / ``REPRO_ENGINE`` values.
-_ENGINE_MODES = ("auto", "vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -257,7 +244,6 @@ class LlmServingEngine:
         ctx: Optional[object] = None,
         auditor: Optional[object] = None,
         watchdog: Optional[object] = None,
-        engine_mode: str = "auto",
         retain_requests: bool = True,
     ) -> None:
         """``injector`` is a :class:`~repro.faults.injector.FaultInjector`
@@ -272,36 +258,31 @@ class LlmServingEngine:
         time -- tripping it yields a typed partial report instead of a
         wedged simulation.
 
-        ``engine_mode`` selects the stepping core: ``"scalar"`` walks
-        per-request objects (the reference semantics), ``"vectorized"``
-        runs the struct-of-arrays fast path (and raises
-        :class:`~repro.audit.ConfigError` when a bound policy / injector
-        / watchdog / tracer makes it ineligible), and ``"auto"`` --
-        overridable via ``REPRO_ENGINE`` -- picks the fast path whenever
-        it is eligible.  Both cores produce byte-identical reports.
         ``retain_requests=False`` folds terminal requests into constant-
         memory aggregates instead of keeping every object alive, which
         is what makes million-request streaming runs possible; latency
         means are then accumulated in retirement order (ulp-level
         differences from the retained path) and the run is excluded from
         byte-golden comparisons."""
+        if max_decode_batch <= 0:
+            raise ValueError("max_decode_batch must be positive")
+        if num_kv_blocks is None:
+            num_kv_blocks = max(1, model.max_kv_tokens() // block_size)
+        if num_kv_blocks <= 0 or block_size <= 0:
+            raise ValueError("num_kv_blocks and block_size must be positive")
+        self.admission_watermark = policy.admission_watermark if policy else 1.0
+        if not 0.0 < self.admission_watermark <= 1.0:
+            raise ValueError("admission_watermark must be in (0, 1]")
         self.model = model
         self.attention = attention
-        if num_kv_blocks is None:
-            capacity_tokens = model.max_kv_tokens()
-            num_kv_blocks = max(1, capacity_tokens // block_size)
-        self.block_manager = BlockManager(num_kv_blocks, block_size)
+        self.max_decode_batch = max_decode_batch
+        self.block_size = block_size
+        self.num_kv_blocks = num_kv_blocks
         self.policy = policy
         self.injector = injector
         self.auditor = auditor if auditor is not None else get_auditor()
         self.watchdog = watchdog if watchdog is not None else Watchdog.from_env()
-        self.block_manager.bind_auditor(self.auditor)
-        self.scheduler = ContinuousBatchingScheduler(
-            self.block_manager,
-            max_decode_batch,
-            admission_watermark=policy.admission_watermark if policy else 1.0,
-        )
-        self.max_decode_batch = max_decode_batch
+        self.retain_requests = retain_requests
         self.fault_stats = FaultStats()
         self._fault_restarted_ids: set = set()
         self._power_model = PowerModel(self.model.device.spec.power)
@@ -309,38 +290,28 @@ class LlmServingEngine:
         self._tracer = None
         self._metrics = None
         self._traced_request_ids: set = set()
-        # Streaming-run state (see begin/feed/advance/finish).
+        # Run state (see begin/feed/advance/finish).
+        self._core = EngineCore(num_kv_blocks, block_size)
+        self._aggregates: Optional[ReportAggregates] = None
         self._audit = None
         self._now = 0.0
+        #: Virtual time of the last scheduler step: preempt/shed/fail
+        #: events between steps are stamped with it.
+        self._sched_now = 0.0
         self._steps = 0
         self._preemptions = 0
         self._activity: Optional[ActivityAccumulator] = None
-        self._batch_stats: Optional[DecodeBatchStats] = None
-        self._batch_version = -1
         self._all_requests: List[Request] = []
-        if engine_mode not in _ENGINE_MODES:
-            raise ConfigError(
-                f"engine_mode must be one of {_ENGINE_MODES}, got {engine_mode!r}"
-            )
-        self.engine_mode = engine_mode
-        self.retain_requests = retain_requests
-        self._fast = False
-        self._core: Optional[EngineCore] = None
-        self._aggregates: Optional[ReportAggregates] = None
         self._max_fed_arrival = 0.0
         self._request_deadlines = False
         if ctx is not None:
             self.bind_context(ctx)
 
     def bind_context(self, ctx) -> None:
-        """Bind a :class:`~repro.api.RunContext` (or None to unbind),
-        propagating its tracer/metrics to the scheduler and KV block
-        manager."""
+        """Bind a :class:`~repro.api.RunContext` (or None to unbind)."""
         self.ctx = ctx
         self._tracer = ctx.tracer if ctx is not None else None
         self._metrics = ctx.metrics if ctx is not None else None
-        self.scheduler.bind_observability(self._tracer, self._metrics)
-        self.block_manager.bind_metrics(self._metrics)
 
     # -- observability helpers -----------------------------------------
     def _trace_request_begin(self, request: Request, now: float) -> None:
@@ -389,6 +360,30 @@ class LlmServingEngine:
             )
             start += seconds
 
+    def _observe_kv(self, kind: str, blocks: int) -> None:
+        """``kv.*`` metrics of one pool operation: ``"allocate"``,
+        ``"grow"`` (decode appends that took new blocks) or ``"free"``."""
+        metrics = self._metrics
+        if metrics is None:
+            return
+        if kind == "free":
+            metrics.counter("kv.frees").inc()
+            metrics.counter("kv.blocks_freed").inc(blocks)
+        else:
+            if kind == "allocate":
+                metrics.counter("kv.allocations").inc()
+            metrics.counter("kv.blocks_allocated").inc(blocks)
+        core = self._core
+        metrics.gauge("kv.occupancy").set(core.allocated_blocks / core.num_blocks)
+
+    def _observe_event(self, name: str, metric: str, amount: int = 1, **args) -> None:
+        """A scheduler-track instant at the last scheduler step plus its
+        ``scheduler.*`` counter."""
+        if self._tracer is not None:
+            self._tracer.instant(name, "scheduler", self._sched_now, **args)
+        if self._metrics is not None:
+            self._metrics.counter(f"scheduler.{metric}").inc(amount)
+
     def _finish_step(
         self,
         step_span: Optional[object],
@@ -402,29 +397,25 @@ class LlmServingEngine:
         occupancy / batch size, and the per-step metrics."""
         tracer = self._tracer
         metrics = self._metrics
-        if tracer is None and metrics is None:
-            return
         duration = now - step_start
         watts = 0.0
-        if step_activity is not None and duration > 0:
+        if duration > 0:
             watts = self._power_model.power(step_activity.profile(duration))
-        stats = self.block_manager.stats()
+        allocated = self._core.allocated_blocks
         if tracer is not None:
             tracer.record(
                 "power.sample", "power", step_start, now, watts=round(watts, 3)
             )
             tracer.counter("power.watts", now, round(watts, 3))
-            tracer.counter("kv.allocated_blocks", now, stats.allocated_blocks)
+            tracer.counter("kv.allocated_blocks", now, allocated)
             tracer.counter("batch.running", now, batch_size)
-            if step_span is not None:
-                tracer.end(step_span, now, batch=batch_size)
+            tracer.end(step_span, now, batch=batch_size)
         if metrics is not None:
             metrics.counter("engine.steps").inc()
             metrics.histogram("engine.batch_size").observe(batch_size)
             metrics.histogram("power.watts").observe(watts)
-            metrics.gauge("kv.allocated_blocks").set(stats.allocated_blocks)
-            if step_activity is not None:
-                step_activity.record_to(metrics)
+            metrics.gauge("kv.allocated_blocks").set(allocated)
+            step_activity.record_to(metrics)
 
     @property
     def _graceful(self) -> bool:
@@ -437,84 +428,25 @@ class LlmServingEngine:
     # the engine, feeding requests as a gateway routes them and
     # advancing the simulation in bounded horizons.
 
-    def _fast_block_reason(self) -> str:
-        """Why the vectorized core cannot serve this configuration
-        (empty string = eligible).  Fault paths, SLO policies, watchdogs
-        and per-step observability all need the per-iteration object
-        walk, so they pin the run to the scalar core."""
-        if self.policy is not None:
-            return "a ResiliencePolicy is bound"
-        if self.injector is not None:
-            return "a FaultInjector is bound"
-        if self.watchdog is not None:
-            return "a Watchdog is armed"
-        if self._tracer is not None or self._metrics is not None:
-            return "tracing/metrics observability is bound"
-        return ""
-
-    def _resolve_engine_mode(self) -> bool:
-        """True when this run uses the vectorized core.
-
-        An explicit constructor ``engine_mode`` wins; ``"auto"`` defers
-        to ``REPRO_ENGINE`` and finally to eligibility.  Requesting
-        ``"vectorized"`` via the constructor on an ineligible engine is
-        a hard :class:`ConfigError`; via the environment it degrades to
-        the scalar core (the env var is a fleet-wide soft preference).
-        """
-        mode = self.engine_mode
-        if mode == "auto":
-            env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-            if env and env not in _ENGINE_MODES:
-                raise ConfigError(
-                    f"REPRO_ENGINE must be one of {_ENGINE_MODES}, got {env!r}"
-                )
-            if env == "scalar":
-                return False
-            return not self._fast_block_reason()
-        if mode == "scalar":
-            return False
-        reason = self._fast_block_reason()
-        if reason:
-            raise ConfigError(
-                f"engine_mode='vectorized' is unavailable: {reason}; "
-                "use 'auto' or 'scalar'"
-            )
-        return True
-
     def begin(self, requests: Sequence[Request] = ()) -> None:
         """Open a run: arm the audit ledger and watchdog, start the
         root span, and submit any up-front ``requests``."""
-        self._fast = self._resolve_engine_mode()
-        self._core = (
-            EngineCore(self.block_manager.num_blocks, self.block_manager.block_size)
-            if self._fast
-            else None
-        )
+        self._core = EngineCore(self.num_kv_blocks, self.block_size)
         self._aggregates = None if self.retain_requests else ReportAggregates()
-        self.scheduler.on_retire = (
-            self._fold_terminal
-            if (self._aggregates is not None and not self._fast)
-            else None
-        )
         self._max_fed_arrival = 0.0
         self._request_deadlines = any(r.deadline is not None for r in requests)
-        bump_counter("vectorized_runs" if self._fast else "scalar_runs")
+        bump_counter("vectorized_runs")
         self._audit = self.auditor.begin_run("serving.run") if self.auditor else None
-        self.scheduler.bind_audit(self._audit)
         if self._audit is not None:
             self._audit.set_token_baseline(sum(r.generated for r in requests))
         if self.watchdog is not None:
             self.watchdog.start()
         self._now = 0.0
+        self._sched_now = 0.0
         self._steps = 0
         self._preemptions = 0
         self._activity = ActivityAccumulator()
-        # Incremental decode-batch statistics: valid while the running
-        # batch's membership is unchanged (scheduler.mutation_count) and
-        # every runner grew by exactly one token since they were built.
-        self._batch_stats: Optional[DecodeBatchStats] = None
-        self._batch_version = -1
-        self._all_requests: List[Request] = []
+        self._all_requests = []
         if self._tracer is not None:
             self._tracer.begin(
                 "serving.run", "engine", self._now,
@@ -526,7 +458,11 @@ class LlmServingEngine:
             self.feed(request)
 
     def feed(self, request: Request) -> None:
-        """Submit one request to an open run (streaming admission)."""
+        """Submit one request to an open run (streaming admission).
+
+        A prompt that can never fit the KV pool raises
+        :class:`KvCacheError` without a policy and is shed with an
+        ``oversized`` reason with one."""
         if self.policy and self.policy.deadline is not None and request.deadline is None:
             request.deadline = self.policy.deadline
         if self._audit is not None and request.generated:
@@ -542,33 +478,22 @@ class LlmServingEngine:
             self._aggregates.note_fed(request)
         if self.retain_requests:
             self._all_requests.append(request)
-        if self._fast:
-            self._feed_fast(request)
-        else:
-            self._submit(request)
-
-    def _feed_fast(self, request: Request) -> None:
-        """Fast-path submission: the scheduler's legality checks against
-        the slot arrays, then slot acquisition (no policy in fast mode,
-        so an oversized prompt fails hard exactly like the scalar
-        no-policy path)."""
         if request.state is not RequestState.WAITING:
             raise ValueError(f"request {request.request_id} is not schedulable")
-        if request.tier != DEFAULT_TIER:
-            raise ConfigError(
-                f"request {request.request_id} has tier {request.tier}, but "
-                "the vectorized core admits in pure arrival order; run "
-                "tiered traffic on the scalar core (engine_mode='scalar' "
-                "or bind a ResiliencePolicy)"
-            )
-        needed = self.block_manager.blocks_needed(request.input_tokens)
-        if needed > self.block_manager.num_blocks:
-            raise KvCacheError(
+        core = self._core
+        needed = core.blocks_needed(request.input_tokens)
+        if needed > core.num_blocks:
+            error = KvCacheError(
                 f"request {request.request_id}'s prompt needs {needed} KV "
-                f"blocks but the pool only has {self.block_manager.num_blocks}; "
+                f"blocks but the pool only has {core.num_blocks}; "
                 "it can never be scheduled"
             )
-        self._core.acquire(request)
+            if not self._graceful:
+                raise error
+            request.shed(f"oversized: {error}")
+            self._fold_terminal(request)
+            return
+        core.acquire(request)
 
     def _fold_terminal(self, request: Request) -> None:
         """Retirement hook for ``retain_requests=False`` runs."""
@@ -589,9 +514,11 @@ class LlmServingEngine:
 
     @property
     def has_unfinished(self) -> bool:
-        if self._fast and self._core is not None:
-            return self._core.has_unfinished
-        return self.scheduler.has_unfinished
+        return self._core.has_unfinished
+
+    def kv_stats(self) -> KvCacheStats:
+        """Occupancy snapshot of the run's KV block pool."""
+        return self._core.stats()
 
     def advance(self, horizon: float = math.inf) -> float:
         """Drive the step loop while work remains and steps start at or
@@ -606,245 +533,106 @@ class LlmServingEngine:
         budget is exhausted (``run()`` converts that into a typed
         partial report).
         """
-        if self._fast:
-            return self._advance_fast(horizon)
+        return self._advance(horizon)
+
+    def _advance(self, horizon: float, sync_exit: bool = True) -> float:
+        """The step loop over the slot arrays.
+
+        One iteration is one virtual engine step: fault events, deadline
+        enforcement, a scheduler step (retire, then admit), sequential
+        prefills for admissions and capacity preemption, then a *decode
+        burst* (see :meth:`_decode_burst`) that prices this step's
+        decode and as many following pure-decode steps as no event can
+        interrupt.  Request objects are touched only at lifecycle
+        events and re-synchronized on exit.  ``sync_exit=False`` skips
+        that exit sync -- only for the engine-internal loop of
+        :meth:`run_streaming`, where nothing can observe live request
+        objects before the next advance or :meth:`finish` syncs them.
+        """
+        core = self._core
         audit = self._audit
         watchdog = self.watchdog
         tracer = self._tracer
         observing = tracer is not None or self._metrics is not None
-        while self.scheduler.has_unfinished:
-            if self._now > horizon:
+        model = self.model
+        inp, out, gen = core.input_tokens, core.output_tokens, core.generated
+        first, finish, state = core.first_token, core.finish, core.state
+        run_slots = core.run_slots
+        activity = self._activity
+        interval = self.policy.checkpoint_interval if self.policy else 0
+        while core.has_unfinished:
+            now = self._now
+            if now > horizon:
                 break
             if watchdog is not None:
                 watchdog.check(self._steps)
-            now = self._advance_faults(self._now)
+            if self.injector is not None:
+                now = self._advance_faults(now)
             if audit is not None:
                 audit.observe_clock(now)
-            self._enforce_deadlines(now)
-            schedule = self.scheduler.step(now)
-            if not schedule.has_work:
+                if self.auditor is not None:
+                    self.auditor.check_core_invariants(core)
+            if self._deadlines_enforced:
+                self._enforce_deadlines(now)
+            admitted = self._schedule(now)
+            if not run_slots:
                 self._now = now
-                if not self.scheduler.waiting:
+                if not core.waiting_count:
                     break  # everything retired in this step
-                head = self.scheduler.next_blocked(now)
-                if head is not None:
+                index = core.first_arrived(now)
+                if index is not None:
                     # Nothing runs, nothing admits, and the highest-
                     # priority arrived request is blocked: the pool can
                     # never serve it.
+                    slot = core.wait_q[index]
                     reason = (
-                        f"kv-exhausted: {head.context_len} prompt tokens exceed "
-                        "the free KV pool with no running request to retire"
+                        f"kv-exhausted: {core.context_len(slot)} prompt tokens "
+                        "exceed the free KV pool with no running request to retire"
                     )
                     if self._graceful:
-                        self.scheduler.shed(head, reason)
+                        self._shed(slot, reason)
                         continue
+                    request_id = core.objs[slot].request_id
+                    core.sync_live_objects()
                     raise KvCacheError(
-                        f"request {head.request_id} cannot be admitted: {reason}"
+                        f"request {request_id} cannot be admitted: {reason}"
                     )
-                next_arrival = self.scheduler.next_arrival()
+                next_arrival = core.next_arrival()
                 if next_arrival > horizon:
                     break  # idle until past the horizon; do not jump it
                 # All remaining requests arrive later; jump the clock.
                 self._now = max(now, next_arrival)
                 continue
-            slowdown = self._slowdown()
+            slowdown = self.injector.compute_slowdown() if self.injector else 1.0
             step_start = now
-            step_span = None
-            step_activity = None
+            step_span = step_activity = None
             if observing:
                 step_activity = ActivityAccumulator()
             if tracer is not None:
                 step_span = tracer.begin(
                     "engine.step", "engine", now,
-                    step=self._steps, admitted=len(schedule.new_requests),
+                    step=self._steps, admitted=len(admitted),
                 )
-            for request in schedule.new_requests:
-                # vLLM prefills prompts individually (no padding waste).
-                # A fault-restarted request recomputes its checkpointed
-                # tokens too, hence context_len rather than input_tokens.
+            # Prefills run sequentially, one prompt at a time (vLLM
+            # style, no padding waste).  A fault-restarted request
+            # recomputes its checkpointed tokens too.
+            for slot in admitted:
                 prefill_span = None
                 if tracer is not None:
-                    self._trace_request_begin(request, now)
+                    self._trace_request_begin(core.objs[slot], now)
                     prefill_span = tracer.begin(
                         "prefill", "engine", now,
-                        request_id=request.request_id,
-                        prompt_tokens=request.context_len,
+                        request_id=core.objs[slot].request_id,
+                        prompt_tokens=core.context_len(slot),
                     )
-                phase = self.model.prefill(1, request.context_len)
+                phase = model.prefill(1, core.context_len(slot))
                 now += phase.time * slowdown
-                self._activity.merge(phase.activity)
+                activity.merge(phase.activity)
                 if step_activity is not None:
                     step_activity.merge(phase.activity)
                     self._observe_collectives(phase.collectives, now)
                 if prefill_span is not None:
                     tracer.end(prefill_span, now)
-                request.record_token(now)
-                if audit is not None:
-                    audit.on_tokens_emitted()
-                self._maybe_checkpoint(request)
-            running = [r for r in schedule.running if r.state is RequestState.RUNNING]
-            if not running:
-                self._steps += 1
-                self._now = now
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, 0)
-                continue
-            self._preemptions += self._ensure_headroom(running)
-            running = [r for r in running if r.state is RequestState.RUNNING]
-            if not running:
-                self._steps += 1
-                self._now = now
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, 0)
-                continue
-            decode_span = None
-            if tracer is not None:
-                decode_span = tracer.begin(
-                    "decode.step", "engine", now, batch=len(running)
-                )
-            version = self.scheduler.mutation_count
-            if (
-                self._batch_stats is None
-                or self._batch_version != version
-                or self._batch_stats.batch != len(running)
-            ):
-                self._batch_stats = DecodeBatchStats.from_context_lens(
-                    [r.context_len for r in running]
-                )
-                self._batch_version = version
-            phase = self.model.decode_step_stats(self._batch_stats, self.attention)
-            now += phase.time * slowdown
-            self._activity.merge(phase.activity)
-            if step_activity is not None:
-                step_activity.merge(phase.activity)
-                self._observe_collectives(phase.collectives, now)
-            if decode_span is not None:
-                tracer.end(decode_span, now)
-            self._steps += 1
-            self._now = now
-            if self.injector is not None and self.injector.kernel_fault():
-                # Transient kernel failure: the step's output is lost
-                # and recomputed next iteration; the time still passed.
-                # No runner grew, so batch_stats stays valid as-is.
-                self.fault_stats.kernel_retries += 1
-                if tracer is not None:
-                    tracer.instant("kernel_fault", "engine", now)
-                if self._metrics is not None:
-                    self._metrics.counter("engine.kernel_retries").inc()
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, len(running))
-                continue
-            grew_all = True
-            for request in running:
-                if not self._grow_kv(request):
-                    grew_all = False
-                    continue
-                request.record_token(now)
-                if audit is not None:
-                    audit.on_tokens_emitted()
-                self._maybe_checkpoint(request)
-            if grew_all and self.scheduler.mutation_count == self._batch_version:
-                # Every runner gained exactly one token: advance the
-                # batch statistics in O(1) instead of rebuilding.
-                self._batch_stats = self._batch_stats.advanced()
-            else:
-                self._batch_stats = None
-            if observing:
-                self._finish_step(step_span, step_start, now, step_activity, len(running))
-        return self._now
-
-    # -- vectorized fast path ------------------------------------------
-    def _advance_fast(self, horizon: float, sync_exit: bool = True) -> float:
-        """The struct-of-arrays twin of :meth:`advance`.
-
-        One outer iteration mirrors one (or many) scalar iterations: a
-        virtual scheduler step (retire, then admit) against the slot
-        arrays, sequential prefills for admissions, capacity preemption,
-        then a *decode burst* -- consecutive decode steps priced against
-        integer context aggregates until the next membership-changing
-        event.  Request objects are only touched at lifecycle events and
-        re-synchronized on exit, so callers observe the exact scalar
-        semantics.  ``sync_exit=False`` skips that exit sync -- only for
-        engine-internal loops (:meth:`run_streaming`) where nothing can
-        observe live request objects before the next advance or
-        :meth:`finish` syncs them.
-        """
-        core = self._core
-        audit = self._audit
-        model = self.model
-        max_batch = self.max_decode_batch
-        inp = core.input_tokens
-        out = core.output_tokens
-        gen = core.generated
-        first = core.first_token
-        finish = core.finish
-        arrival = core.arrival
-        state = core.state
-        run_slots = core.run_slots
-        activity = self._activity
-        while core.has_unfinished:
-            now = self._now
-            if now > horizon:
-                break
-            if audit is not None:
-                audit.observe_clock(now)
-                if self.auditor is not None:
-                    self.auditor.check_core_invariants(core)
-            # Virtual scheduler step: retire, then admit (the exact
-            # order of ContinuousBatchingScheduler.step).
-            if core.finished_pending:
-                retired = set()
-                for slot in core.finished_pending:
-                    core.free_blocks += core.blocks_held(slot)
-                    self._fold_terminal(core.materialize_terminal(slot))
-                    core.release(slot)
-                    retired.add(slot)
-                core.finished_pending.clear()
-                run_slots[:] = [s for s in run_slots if s not in retired]
-            admitted: List[int] = []
-            head = core.waiting_head()
-            while (
-                head is not None
-                and len(run_slots) + len(admitted) < max_batch
-                and arrival[head] <= now
-                and core.blocks_needed(int(inp[head]) + int(gen[head]))
-                <= core.free_blocks
-            ):
-                core.pop_waiting_head()
-                core.allocate_shadow(head)
-                core.objs[head].start_running()
-                state[head] = SLOT_RUNNING
-                admitted.append(head)
-                head = core.waiting_head()
-            run_slots.extend(admitted)
-            if not run_slots:
-                self._now = now
-                head = core.waiting_head()
-                if head is None:
-                    break  # everything retired in this step
-                if arrival[head] <= now:
-                    # Nothing runs, nothing admits, and the head request
-                    # has already arrived: the pool can never serve it.
-                    core.sync_live_objects()
-                    obj = core.objs[head]
-                    reason = (
-                        f"kv-exhausted: {obj.context_len} prompt tokens exceed "
-                        "the free KV pool with no running request to retire"
-                    )
-                    raise KvCacheError(
-                        f"request {obj.request_id} cannot be admitted: {reason}"
-                    )
-                if arrival[head] > horizon:
-                    break  # idle until past the horizon; do not jump it
-                # All remaining requests arrive later; jump the clock.
-                self._now = max(now, float(arrival[head]))
-                continue
-            # Prefills run sequentially, one prompt at a time (vLLM
-            # style, matching the scalar loop's clock arithmetic).
-            for slot in admitted:
-                phase = model.prefill(1, int(inp[slot]) + int(gen[slot]))
-                now += phase.time
-                activity.merge(phase.activity)
                 gen[slot] += 1
                 if np.isnan(first[slot]):
                     first[slot] = now
@@ -852,70 +640,81 @@ class LlmServingEngine:
                     state[slot] = SLOT_FINISHED
                     finish[slot] = now
                     core.finished_pending.append(slot)
+                if interval and gen[slot] % interval == 0:
+                    core.checkpoint[slot] = gen[slot]
             if admitted and audit is not None:
                 audit.on_tokens_emitted(len(admitted))
             if core.finished_pending:
                 runners = [s for s in run_slots if state[s] == SLOT_RUNNING]
             else:
                 runners = list(run_slots)
-            if not runners:
+            if runners:
+                # Capacity preemption: evict the newest runners until
+                # every remaining one can grow a block.
+                while core.free_blocks < len(runners) and len(runners) > 1:
+                    self._preempt(runners.pop(), from_checkpoint=False)
+                    self._preemptions += 1
+                now = self._decode_burst(
+                    runners, now, horizon, slowdown, step_activity
+                )
+            else:
                 self._steps += 1
                 self._now = now
-                continue
-            # Capacity preemption: evict the newest runners until every
-            # remaining one can grow a block (the scalar rule).
-            while core.free_blocks < len(runners) and len(runners) > 1:
-                victim = runners.pop()
-                run_slots.remove(victim)
-                core.free_blocks += core.blocks_held(victim)
-                if audit is not None:
-                    audit.on_tokens_rolled_back(int(gen[victim]))
-                obj = core.objs[victim]
-                obj.restart()
-                gen[victim] = 0
-                first[victim] = np.nan
-                finish[victim] = np.nan
-                core.restarts[victim] = obj.restarts
-                state[victim] = SLOT_WAITING
-                core.insort_waiting(victim, left=True)
-                self._preemptions += 1
-            now = self._decode_burst(runners, now, horizon)
+            if observing:
+                self._finish_step(
+                    step_span, step_start, now, step_activity, len(runners)
+                )
         if sync_exit:
             core.sync_live_objects()
         return self._now
 
-    def _decode_burst(self, runners: List[int], now: float, horizon: float) -> float:
-        """Price consecutive decode steps for a fixed batch without any
-        per-request object traffic; returns the clock after the burst.
+    def _decode_burst(
+        self,
+        runners: List[int],
+        now: float,
+        horizon: float,
+        slowdown: float,
+        step_activity: Optional[ActivityAccumulator],
+    ) -> float:
+        """Run this iteration's decode step and every following step
+        that is a pure decode continuation; returns the clock.
 
-        The burst ends just before the first virtual iteration whose
-        scheduler step would diverge from a pure decode continuation: a
-        runner finishing, a pending retirement, the waiting head
-        becoming admissible, capacity preemption, or the horizon.  Step
-        costs come from ``LlamaCostModel.decode_stepper``, whose integer
-        recurrences are bit-identical to rebuilding
+        The burst ends at every event the step loop reacts to between
+        steps: a runner finishing, a pending retirement, a waiting
+        request arriving or becoming admissible, capacity preemption,
+        a fault event falling due, a waiting request's deadline
+        expiring, the watchdog's step budget, a transient kernel fault
+        (drawn once per decode step, in order), and the horizon.  An
+        observed run (``step_activity`` given) prices exactly one step
+        per burst, so per-step spans and metrics come out of the outer
+        loop.  Step costs come from ``LlamaCostModel.decode_stepper``,
+        whose integer recurrences are bit-identical to pricing a
         ``DecodeBatchStats`` per step.
         """
         core = self._core
+        injector = self.injector
         bs = core.block_size
         n = len(runners)
         slots = np.asarray(runners, dtype=np.intp)
-        ctx0 = core.input_tokens[slots] + core.generated[slots]
-        rem = core.output_tokens[slots] - core.generated[slots]
+        gen0 = core.generated[slots]
+        ctx0 = core.input_tokens[slots] + gen0
+        rem = core.output_tokens[slots] - gen0
         min_rem = int(rem.min())
         total_context = int(ctx0.sum())
         total_blocks = int(np.sum(-(-ctx0 // 128)))
         max_context = int(ctx0.max())
+        limit = min_rem
+        if core.finished_pending or step_activity is not None:
+            limit = 1
+        watchdog = self.watchdog
+        if watchdog is not None and watchdog.max_steps is not None:
+            limit = min(limit, watchdog.max_steps - self._steps)
         # Pricing always buckets KV at the kernel's 128-token blocks;
-        # the engine's pool may use a different block size, so shadow
-        # growth gets its own residue histogram.  A burst that provably
-        # stops after one step (a pending retirement, or a runner with
-        # one token left) only ever reads the first-step KV growth, so
-        # it skips the histograms -- at steady state most bursts end at
-        # a retirement, making this the common case.
-        single_step = bool(core.finished_pending) or min_rem <= 1
-        if single_step:
-            growth0 = int(np.count_nonzero(ctx0 % bs == 1))
+        # the engine's pool may use a different block size, so growth
+        # gets its own residue histogram.  A one-step burst only reads
+        # the first step's growth and skips the histograms.
+        if limit == 1:
+            growth0 = int(np.count_nonzero(ctx0 % bs == 1 % bs))
             hist128 = hist_bs = None
         else:
             hist128 = np.bincount((ctx0 % 128).astype(np.int64), minlength=128)
@@ -924,83 +723,346 @@ class LlmServingEngine:
                 if bs == 128
                 else np.bincount((ctx0 % bs).astype(np.int64), minlength=bs)
             )
-        stepper = self.model.decode_stepper(n, self.attention)
-        head = core.waiting_head()
-        head_arrival = float(core.arrival[head]) if head is not None else math.inf
-        head_needed = (
-            core.blocks_needed(
-                int(core.input_tokens[head]) + int(core.generated[head])
-            )
-            if head is not None
-            else 0
+        stepper = None if step_activity is not None else (
+            self.model.decode_stepper(n, self.attention)
         )
+        # Events between steps, fixed for the burst.
         room = n < self.max_decode_batch
-        retire_pending = bool(core.finished_pending)
+        candidate, arrival_at = (
+            self._admission_watch(now) if room else (None, math.inf)
+        )
+        candidate_needed = (
+            core.blocks_needed(core.context_len(candidate))
+            if candidate is not None else 0
+        )
+        event_at = math.inf
+        if injector is not None and injector.next_event_time is not None:
+            event_at = injector.next_event_time
+        deadline_at = self._next_deadline() if self._deadlines_enforced else math.inf
+        watermark = self.admission_watermark
         activity = self._activity
         j = 0  # completed steps this burst
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
         while True:
-            # KV growth of the upcoming step (step j+1, 1-based): a
-            # runner with start context c grows at steps where
-            # c + step - 2 is a block-size multiple.
-            growth = growth0 if single_step else int(hist_bs[(1 - j) % bs])
-            now += stepper(total_context, total_blocks, max_context, activity)
+            step_start = now
+            if stepper is not None:
+                now += stepper(total_context, total_blocks, max_context, activity) * slowdown
+            else:
+                now = self._observed_decode(
+                    n, total_context, total_blocks, max_context, now, slowdown,
+                    step_activity,
+                )
             j += 1
+            if injector is not None and injector.kernel_fault():
+                # Transient kernel failure: the step's output is lost
+                # and recomputed next iteration; the time still passed.
+                self.fault_stats.kernel_retries += 1
+                if self._tracer is not None:
+                    self._tracer.instant("kernel_fault", "engine", now)
+                if self._metrics is not None:
+                    self._metrics.counter("engine.kernel_retries").inc()
+                break
+            # KV growth of step j (1-based): a runner with start context
+            # c takes a new block at the steps where c + j - 2 is a
+            # block-size multiple.
+            growth = growth0 if limit == 1 else int(hist_bs[(2 - j) % bs])
             if growth > core.free_blocks:
-                # Only reachable with a single runner (the headroom
-                # guard below breaks first for n > 1): the step's time
-                # is charged, then the append fails before any token is
-                # recorded -- the scalar fail-fast path.
+                # Only reachable with a single runner (capacity
+                # preemption keeps a block per runner otherwise): the
+                # step's time is charged, then the append fails before
+                # any token is recorded.
                 exhausted = True
                 break
             core.free_blocks -= growth
+            if growth:
+                self._observe_kv("grow", growth)
             recorded = j
-            if single_step:
-                break
+            if j >= limit:
+                break  # a runner finishes, a retirement, or the budget
             total_context += n
             max_context += 1
             total_blocks += int(hist128[(1 - j) % 128])
-            if j >= min_rem:
-                break  # at least one runner finished this step
-            if retire_pending:
-                break  # a prefill finisher awaits retirement next step
-            if now > horizon:
+            if now > horizon or now >= event_at or now >= deadline_at:
                 break
-            if head_arrival <= now and room and head_needed <= core.free_blocks:
-                break  # the waiting head becomes admissible next step
+            if room and (
+                now >= arrival_at
+                or (candidate is not None
+                    and core.has_headroom(candidate_needed, watermark))
+            ):
+                break  # the waiting queue may admit next step
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
-        core.generated[slots] += recorded
         self._steps += j
-        core.vectorized_steps += j
+        if j > 1:
+            # Steps after the first each began with a scheduler step.
+            self._sched_now = step_start
         self._now = now
-        if self._audit is not None and recorded:
-            self._audit.on_tokens_emitted(n * recorded)
+        if recorded:
+            gen1 = gen0 + recorded
+            core.generated[slots] = gen1
+            if self.policy is not None:
+                interval = self.policy.checkpoint_interval
+                mark = gen1 // interval * interval
+                crossed = mark > gen0
+                core.checkpoint[slots[crossed]] = mark[crossed]
+            if self._audit is not None:
+                self._audit.on_tokens_emitted(n * recorded)
         if exhausted:
-            core.sync_live_objects()
-            raise KvCacheError("out of KV blocks during decode")
-        if recorded == min_rem:
-            done = slots[np.asarray(rem == min_rem)]
+            if not self._graceful:
+                core.sync_live_objects()
+                raise KvCacheError("out of KV blocks during decode")
+            self._shed(runners[0], "kv-exhausted: pool full during decode")
+        elif recorded == min_rem:
+            done = slots[rem == min_rem]
             core.state[done] = SLOT_FINISHED
             core.finish[done] = now
             core.finished_pending.extend(int(s) for s in done)
         return now
+
+    def _observed_decode(
+        self,
+        n: int,
+        total_context: int,
+        total_blocks: int,
+        max_context: int,
+        now: float,
+        slowdown: float,
+        step_activity: ActivityAccumulator,
+    ) -> float:
+        """One observed decode step: priced through
+        ``decode_step_stats`` (bit-identical to the stepper) for the
+        collectives it carries, under a ``decode.step`` span."""
+        tracer = self._tracer
+        decode_span = None
+        if tracer is not None:
+            decode_span = tracer.begin("decode.step", "engine", now, batch=n)
+        phase = self.model.decode_step_stats(
+            DecodeBatchStats(n, total_context, total_blocks, max_context),
+            self.attention,
+        )
+        now += phase.time * slowdown
+        self._activity.merge(phase.activity)
+        step_activity.merge(phase.activity)
+        self._observe_collectives(phase.collectives, now)
+        if decode_span is not None:
+            tracer.end(decode_span, now)
+        return now
+
+    def _admission_watch(self, now: float):
+        """``(candidate, arrival_at)`` for a decode burst starting at
+        ``now``: the first arrived waiting slot in admission order (it
+        did not fit, so it is admitted only once it fits), and the
+        earliest arrival among the waiting slots ahead of it, any of
+        which would become the new candidate."""
+        core = self._core
+        index = core.first_arrived(now)
+        if index is None:
+            return None, core.next_arrival()
+        ahead = core.wait_q[core.wait_head:index]
+        arrival_at = float(core.arrival[ahead].min()) if ahead else math.inf
+        return core.wait_q[index], arrival_at
+
+    @property
+    def _deadlines_enforced(self) -> bool:
+        # Enforced when the policy sets a fleet-wide SLO *or* any fed
+        # request carries its own (e.g. a tenant-tier TTFT deadline).
+        return self.policy is not None and (
+            self.policy.deadline is not None or self._request_deadlines
+        )
+
+    def _expiring(self):
+        """``(slots, expiry)``: waiting slots still owed a first token
+        under a deadline, and their ``arrival + deadline`` times."""
+        core = self._core
+        waiting = np.asarray(core.waiting_slots(), dtype=np.intp)
+        deadline = core.deadline[waiting]
+        owed = ~np.isnan(deadline) & np.isnan(core.first_token[waiting])
+        return waiting[owed], core.arrival[waiting[owed]], deadline[owed]
+
+    def _next_deadline(self) -> float:
+        """A lower bound on when the next waiting deadline expires (the
+        relative margin absorbs rounding of ``arrival + deadline``)."""
+        _, arrival, deadline = self._expiring()
+        if not len(arrival):
+            return math.inf
+        expiry = float((arrival + deadline).min())
+        return expiry - 1e-9 * max(1.0, abs(expiry))
+
+    def _enforce_deadlines(self, now: float) -> None:
+        """Retry (with backoff) or shed every waiting request whose TTFT
+        deadline expired, in admission order."""
+        slots, arrival, deadline = self._expiring()
+        missed = now - arrival > deadline
+        if not missed.any():
+            return
+        core = self._core
+        retry = self.policy.retry
+        for slot in slots[missed].tolist():
+            request = core.objs[slot]
+            retries = int(core.retries[slot])
+            if retries < retry.max_retries:
+                delay = retry.backoff(retries, token=request.request_id)
+                core.remove_waiting(slot)
+                if self._audit is not None:
+                    # Resubmission discards checkpointed progress.
+                    self._audit.on_tokens_rolled_back(int(core.generated[slot]))
+                core.sync_object(slot).resubmit(now + delay)
+                core.load(slot)
+                core.insort_waiting(slot)
+                self.fault_stats.deadline_retries += 1
+                if self._tracer is not None:
+                    self._tracer.instant(
+                        "deadline_retry", "engine", now,
+                        request_id=request.request_id, retry=request.retries,
+                    )
+                if self._metrics is not None:
+                    self._metrics.counter("engine.deadline_retries").inc()
+            else:
+                self._shed(
+                    slot,
+                    f"deadline: no first token within {request.deadline:g}s "
+                    f"after {retries} retries",
+                )
+
+    def _schedule(self, now: float) -> List[int]:
+        """One virtual scheduler step: retire finished runners (in batch
+        order), then admit waiting requests in (tier, arrival) order
+        while the batch has room and the pool has headroom.  Returns the
+        admitted slots."""
+        core = self._core
+        tracer = self._tracer
+        metrics = self._metrics
+        self._sched_now = now
+        run_slots = core.run_slots
+        retired = 0
+        if core.finished_pending:
+            still_running = []
+            for slot in run_slots:
+                if core.state[slot] != SLOT_FINISHED:
+                    still_running.append(slot)
+                    continue
+                blocks = self._release_blocks(slot)
+                request = core.materialize_finished(slot)
+                self._fold_terminal(request)
+                core.release(slot)
+                retired += 1
+                if tracer is not None:
+                    # Pool bookkeeping is instantaneous on the virtual
+                    # clock; the zero-width span marks the event on the
+                    # ``kv`` track with its block count.
+                    tracer.record(
+                        "kv.free", "kv", now, now,
+                        request_id=request.request_id, blocks=blocks,
+                    )
+            run_slots[:] = still_running
+            core.finished_pending.clear()
+        # An arrived request that does not fit blocks everything behind
+        # it (head-of-line within the priority order); an *unarrived*
+        # one is skipped only in mixed-tier queues, where a premium
+        # request arriving later must not block arrived best-effort
+        # work.  A restarted request re-allocates its full context.
+        admitted: List[int] = []
+        room = self.max_decode_batch - len(run_slots)
+        q = core.wait_q
+        skipped = 0  # unarrived entries passed over at the queue head
+        while core.wait_head + skipped < len(q) and len(admitted) < room:
+            slot = q[core.wait_head + skipped]
+            if core.arrival[slot] > now:
+                if core.single_tier:
+                    break  # arrival-sorted: nothing behind has arrived
+                skipped += 1
+                continue
+            needed = core.blocks_needed(core.context_len(slot))
+            if not core.has_headroom(needed, self.admission_watermark):
+                break
+            core.take_waiting(core.wait_head + skipped)
+            core.free_blocks -= needed
+            core.objs[slot].start_running()
+            core.state[slot] = SLOT_RUNNING
+            admitted.append(slot)
+            self._observe_kv("allocate", needed)
+            if tracer is not None:
+                tracer.record(
+                    "kv.allocate", "kv", now, now,
+                    request_id=core.objs[slot].request_id, blocks=needed,
+                )
+        run_slots.extend(admitted)
+        if tracer is not None:
+            # Scheduling is instantaneous on the virtual clock, so the
+            # span is zero-width; its args carry the admission ledger.
+            tracer.record(
+                "scheduler.step", "scheduler", now, now,
+                admitted=len(admitted), retired=retired,
+                running=len(run_slots), waiting=core.waiting_count,
+            )
+        if metrics is not None:
+            metrics.counter("scheduler.steps").inc()
+            if admitted:
+                metrics.counter("scheduler.admitted").inc(len(admitted))
+            if retired:
+                metrics.counter("scheduler.retired").inc(retired)
+            metrics.gauge("scheduler.running").set(len(run_slots))
+            metrics.gauge("scheduler.waiting").set(core.waiting_count)
+        return admitted
+
+    # -- lifecycle primitives --------------------------------------------
+    def _release_blocks(self, slot: int) -> int:
+        """Return a running slot's KV blocks to the pool."""
+        blocks = self._core.blocks_held(slot)
+        self._core.free_blocks += blocks
+        self._observe_kv("free", blocks)
+        return blocks
+
+    def _preempt(self, slot: int, from_checkpoint: bool) -> None:
+        """Evict a running slot back to the wait queue, rolling its
+        progress back to zero (capacity) or its checkpoint (fault); it
+        re-admits ahead of later arrivals."""
+        core = self._core
+        core.run_slots.remove(slot)
+        self._release_blocks(slot)
+        request = core.sync_object(slot)
+        if self._audit is not None:
+            kept = request.checkpoint if from_checkpoint else 0
+            self._audit.on_tokens_rolled_back(request.generated - kept)
+        request.restart(from_checkpoint=from_checkpoint)
+        core.load(slot)
+        core.state[slot] = SLOT_WAITING
+        core.insort_waiting(slot, left=True)
+        self._observe_event(
+            "preempt", "preemptions",
+            request_id=request.request_id, from_checkpoint=from_checkpoint,
+        )
+
+    def _shed(self, slot: int, reason: str) -> None:
+        """Drop a live, unfinished slot with a rejection reason."""
+        core = self._core
+        if core.state[slot] == SLOT_WAITING:
+            core.remove_waiting(slot)
+        else:
+            core.run_slots.remove(slot)
+            self._release_blocks(slot)
+        request = core.sync_object(slot)
+        request.shed(reason)
+        self._fold_terminal(request)
+        core.release(slot)
+        self._observe_event("shed", "sheds", request_id=request.request_id, reason=reason)
+
+    def _release_all_blocks(self) -> None:
+        """Free every held block (the watchdog's partial-result path)."""
+        for slot in self._core.run_slots:
+            self._release_blocks(slot)
 
     def finish(self, watchdog_reason: str = "") -> ServingReport:
         """Close the run: end the root span, unbind the audit handle,
         and return the aggregate report over every fed request."""
         if self._tracer is not None:
             self._tracer.finish(self._now)
-        if self._fast and self._core is not None:
-            self._core.sync_live_objects()
-        bump_counter(
-            "vectorized_steps" if self._fast else "scalar_steps", self._steps
-        )
+        core = self._core
+        core.sync_live_objects()
+        bump_counter("vectorized_steps", self._steps)
         audit = self._audit
         self._audit = None
-        self.scheduler.bind_audit(None)
-        self.scheduler.on_retire = None
         requests = self._all_requests
         report = self._build_report(
             requests, self._now, self._steps, self._preemptions,
@@ -1008,15 +1070,7 @@ class LlmServingEngine:
         )
         if audit is not None:
             audit.observe_clock(self._now)
-            audit.check_kv_drained(self.block_manager)
-            if self._fast and self._core is not None and self.auditor is not None:
-                core = self._core
-                self.auditor.check(
-                    core.free_blocks == core.num_blocks,
-                    KvConservationError,
-                    f"fast-path shadow pool not drained at end of run: "
-                    f"{core.free_blocks}/{core.num_blocks} blocks free",
-                )
+            audit.check_kv_drained(core)
             audit.check_token_conservation(self._total_generated())
             ttfts = None
             if self.retain_requests:
@@ -1059,14 +1113,7 @@ class LlmServingEngine:
         both retained and folded (``retain_requests=False``) runs."""
         if self._aggregates is None:
             return sum(r.generated for r in self._all_requests)
-        if self._fast and self._core is not None:
-            live = self._core.live_generated_total()
-        else:
-            live = sum(
-                r.generated
-                for r in self.scheduler.waiting + self.scheduler.running
-            )
-        return self._aggregates.terminal_tokens + live
+        return self._aggregates.terminal_tokens + self._core.live_generated_total()
 
     def run(self, requests: Iterable[Request]) -> ServingReport:
         """Serve ``requests``; returns aggregate metrics.
@@ -1088,27 +1135,7 @@ class LlmServingEngine:
         if not isinstance(requests, Sequence):
             return self.run_streaming(requests)
         self.begin(requests)
-        watchdog_reason = ""
-        try:
-            self.advance()
-        except WatchdogExceeded as error:
-            # A wedged simulation becomes a typed partial result: release
-            # every held block and report what completed so far.
-            watchdog_reason = str(error)
-            self.block_manager.free_all()
-            if self._tracer is not None:
-                self._tracer.instant("watchdog_exceeded", "engine", self._now)
-            if self._metrics is not None:
-                self._metrics.counter("engine.watchdog_trips").inc()
-        except BaseException:
-            # Fail-fast paths (e.g. KvCacheError without a policy) must
-            # still close the root span and unbind the audit handle.
-            if self._tracer is not None:
-                self._tracer.finish(self._now)
-            self._audit = None
-            self.scheduler.bind_audit(None)
-            raise
-        return self.finish(watchdog_reason)
+        return self._guarded(self.advance)
 
     def run_streaming(self, arrivals: Iterable[Request]) -> ServingReport:
         """Serve a lazily generated arrival stream in bounded memory.
@@ -1124,48 +1151,55 @@ class LlmServingEngine:
         The report is byte-identical to feeding the same requests as a
         list up front (under the same ``retain_requests`` setting).
         """
-        iterator = iter(arrivals)
         self.begin(())
+        return self._guarded(lambda: self._stream(iter(arrivals)))
+
+    def _stream(self, iterator) -> None:
+        last_arrival = -math.inf
+        pending = next(iterator, None)
+        while pending is not None:
+            if pending.arrival_time < last_arrival:
+                raise ConfigError(
+                    "streaming arrivals must be sorted by nondecreasing "
+                    f"arrival_time (got {pending.arrival_time!r} after "
+                    f"{last_arrival!r})"
+                )
+            if pending.arrival_time <= self._now or not self.has_unfinished:
+                last_arrival = pending.arrival_time
+                self.feed(pending)
+                bump_counter("arrival_buffer_peak", self._core.waiting_count)
+                pending = next(iterator, None)
+                continue
+            before = self._now
+            # Advance to just before the next arrival: a step that
+            # starts earlier may overrun it, exactly as in the
+            # all-at-once run, so the report bytes match.  Inside this
+            # engine-owned loop nothing reads live request objects
+            # between advances, so the object sync is deferred to
+            # lifecycle events and finish().
+            self._advance(
+                math.nextafter(pending.arrival_time, -math.inf), sync_exit=False
+            )
+            if self._now == before and pending.arrival_time > self._now:
+                # Idle until an internal requeue at or past the next
+                # external arrival: feed it so the clock can jump.
+                last_arrival = pending.arrival_time
+                self.feed(pending)
+                bump_counter("arrival_buffer_peak", self._core.waiting_count)
+                pending = next(iterator, None)
+        self.advance()
+
+    def _guarded(self, body) -> ServingReport:
+        """Run ``body`` on an open run and close it: a watchdog trip
+        becomes a typed partial report (every held block released);
+        any other failure still closes the root span and unbinds the
+        audit handle before propagating."""
         watchdog_reason = ""
         try:
-            last_arrival = -math.inf
-            pending = next(iterator, None)
-            while pending is not None:
-                if pending.arrival_time < last_arrival:
-                    raise ConfigError(
-                        "streaming arrivals must be sorted by nondecreasing "
-                        f"arrival_time (got {pending.arrival_time!r} after "
-                        f"{last_arrival!r})"
-                    )
-                if pending.arrival_time <= self._now or not self.has_unfinished:
-                    last_arrival = pending.arrival_time
-                    self.feed(pending)
-                    bump_counter("arrival_buffer_peak", self._waiting_count())
-                    pending = next(iterator, None)
-                    continue
-                before = self._now
-                # Advance to just before the next arrival: a step that
-                # starts earlier may overrun it, exactly as in the
-                # all-at-once run, so the report bytes match.  Inside
-                # this engine-owned loop nothing reads live request
-                # objects between advances, so the fast path defers its
-                # object sync to lifecycle events and finish().
-                inner_horizon = math.nextafter(pending.arrival_time, -math.inf)
-                if self._fast:
-                    self._advance_fast(inner_horizon, sync_exit=False)
-                else:
-                    self.advance(inner_horizon)
-                if self._now == before and pending.arrival_time > self._now:
-                    # Idle until an internal requeue at or past the next
-                    # external arrival: feed it so the clock can jump.
-                    last_arrival = pending.arrival_time
-                    self.feed(pending)
-                    bump_counter("arrival_buffer_peak", self._waiting_count())
-                    pending = next(iterator, None)
-            self.advance()
+            body()
         except WatchdogExceeded as error:
             watchdog_reason = str(error)
-            self.block_manager.free_all()
+            self._release_all_blocks()
             if self._tracer is not None:
                 self._tracer.instant("watchdog_exceeded", "engine", self._now)
             if self._metrics is not None:
@@ -1174,100 +1208,65 @@ class LlmServingEngine:
             if self._tracer is not None:
                 self._tracer.finish(self._now)
             self._audit = None
-            self.scheduler.bind_audit(None)
             raise
         return self.finish(watchdog_reason)
 
-    def _waiting_count(self) -> int:
-        if self._fast and self._core is not None:
-            return self._core.waiting_count
-        return len(self.scheduler.waiting)
-
     # -- cluster-facing lifecycle wrappers ------------------------------
     def fail_all(self, reason: str) -> List[Request]:
-        """Terminally fail every in-flight request (the cluster node
-        crash path).  Requests that FINISHED awaiting retirement are
-        retired, not failed.  Dispatches to whichever core owns the
-        run's state, so callers never reach into the scheduler."""
-        if not self._fast or self._core is None:
-            return self.scheduler.fail_all(reason)
+        """Terminally fail every in-flight request (a total outage, or
+        the cluster node crash path).  Requests that FINISHED awaiting
+        retirement are retired, not failed."""
         core = self._core
-        waiting = core.waiting_slots()
         run = list(core.run_slots)
         for slot in run:
-            core.free_blocks += core.blocks_held(slot)
-        finished_slots = [s for s in run if int(core.state[s]) == SLOT_FINISHED]
-        victim_slots = waiting + [
-            s for s in run if int(core.state[s]) != SLOT_FINISHED
+            self._release_blocks(slot)
+        finished = [s for s in run if core.state[s] == SLOT_FINISHED]
+        victim_slots = core.waiting_slots() + [
+            s for s in run if core.state[s] != SLOT_FINISHED
         ]
         core.run_slots.clear()
         core.finished_pending.clear()
         core.wait_q.clear()
         core.wait_head = 0
-        for slot in finished_slots:
-            self._fold_terminal(core.materialize_terminal(slot))
-            core.release(slot)
         victims: List[Request] = []
         for slot in victim_slots:
             request = core.sync_object(slot)
             request.fail(reason)
-            core.state[slot] = SLOT_FAILED
             victims.append(request)
+        for slot in finished:
+            self._fold_terminal(core.materialize_finished(slot))
+            core.release(slot)
+        for slot, request in zip(victim_slots, victims):
             self._fold_terminal(request)
             core.release(slot)
+        if victims:
+            self._observe_event(
+                "fail_all", "failed", len(victims), victims=len(victims), reason=reason
+            )
         return victims
 
     def cancel(self, request: Request, reason: str) -> None:
         """Shed one scheduled request (the gateway cancellation path);
         a FINISHED request awaiting retirement is retired instead."""
-        if not self._fast or self._core is None:
-            self.scheduler.shed(request, reason)
-            return
         core = self._core
-        q = core.wait_q
-        for i in range(core.wait_head, len(q)):
-            slot = q[i]
-            if core.objs[slot] is request:
-                del q[i]
-                core.sync_object(slot)
-                request.shed(reason)
-                core.state[slot] = SLOT_SHED
-                self._fold_terminal(request)
-                core.release(slot)
-                return
-        for slot in list(core.run_slots):
+        for slot in core.live_slots():
             if core.objs[slot] is not request:
                 continue
-            core.free_blocks += core.blocks_held(slot)
+            if core.state[slot] != SLOT_FINISHED:
+                self._shed(slot, reason)
+                return
             core.run_slots.remove(slot)
-            if int(core.state[slot]) == SLOT_FINISHED:
-                if slot in core.finished_pending:
-                    core.finished_pending.remove(slot)
-                self._fold_terminal(core.materialize_terminal(slot))
-            else:
-                core.sync_object(slot)
-                request.shed(reason)
-                core.state[slot] = SLOT_SHED
-                self._fold_terminal(request)
+            core.finished_pending.remove(slot)
+            self._release_blocks(slot)
+            self._fold_terminal(core.materialize_finished(slot))
             core.release(slot)
             return
         raise ValueError(f"request {request.request_id} is not scheduled")
 
     # ------------------------------------------------------------------
-    def _submit(self, request: Request) -> None:
-        try:
-            self.scheduler.submit(request)
-        except KvCacheError as error:
-            if not self._graceful:
-                raise
-            request.shed(f"oversized: {error}")
-            self._fold_terminal(request)
-
     def _advance_faults(self, now: float) -> float:
         """Apply fault events due at ``now``; returns the clock, advanced
         past any total-outage window the run had to wait out."""
-        if self.injector is None:
-            return now
         self._apply_fault_summary(self.injector.advance(now), now)
         # Total outage: with every device down nothing can execute.  The
         # clock can only move to the next scheduled event (a recovery, if
@@ -1275,7 +1274,7 @@ class LlmServingEngine:
         while self.injector.alive_devices() == 0:
             next_time = self.injector.next_event_time
             if next_time is None:
-                self.scheduler.fail_all("outage: all devices down")
+                self.fail_all("outage: all devices down")
                 break
             now = max(now, next_time)
             self._apply_fault_summary(self.injector.advance(now), now)
@@ -1284,86 +1283,28 @@ class LlmServingEngine:
     def _apply_fault_summary(self, summary: object, now: float) -> None:
         self.fault_stats.device_failures += summary.device_failures
         self.fault_stats.device_recoveries += summary.device_recoveries
-        if self._tracer is not None:
-            if summary.device_failures:
-                self._tracer.instant(
-                    "device_failure", "engine", now, count=summary.device_failures
-                )
-            if summary.device_recoveries:
-                self._tracer.instant(
-                    "device_recovery", "engine", now, count=summary.device_recoveries
-                )
-        if self._metrics is not None:
-            if summary.device_failures:
-                self._metrics.counter("engine.device_failures").inc(
-                    summary.device_failures
-                )
-            if summary.device_recoveries:
-                self._metrics.counter("engine.device_recoveries").inc(
-                    summary.device_recoveries
-                )
+        for count, name, metric in (
+            (summary.device_failures, "device_failure", "device_failures"),
+            (summary.device_recoveries, "device_recovery", "device_recoveries"),
+        ):
+            if not count:
+                continue
+            if self._tracer is not None:
+                self._tracer.instant(name, "engine", now, count=count)
+            if self._metrics is not None:
+                self._metrics.counter(f"engine.{metric}").inc(count)
         if summary.device_failures:
             # A device fault kills the in-flight batch: preempt every
             # runner into checkpointed recompute.  A request that
             # FINISHED in the last step was already served; leave it for
             # retirement instead of restarting (double-serving) it.
-            for victim in list(self.scheduler.running):
-                if victim.state is RequestState.FINISHED:
+            core = self._core
+            for slot in list(core.run_slots):
+                if core.state[slot] == SLOT_FINISHED:
                     continue
-                self.scheduler.preempt(victim, from_checkpoint=True)
+                self._fault_restarted_ids.add(core.objs[slot].request_id)
+                self._preempt(slot, from_checkpoint=True)
                 self.fault_stats.fault_preemptions += 1
-                self._fault_restarted_ids.add(victim.request_id)
-
-    def _enforce_deadlines(self, now: float) -> None:
-        # Scan when the policy sets a fleet-wide SLO *or* any fed
-        # request carries its own (e.g. a tenant-tier TTFT deadline).
-        if self.policy is None or (
-            self.policy.deadline is None and not self._request_deadlines
-        ):
-            return
-        for request in list(self.scheduler.waiting):
-            if not request.deadline_missed(now):
-                continue
-            if request.retries < self.policy.retry.max_retries:
-                delay = self.policy.retry.backoff(
-                    request.retries, token=request.request_id
-                )
-                self.scheduler.requeue(request, now + delay)
-                self.fault_stats.deadline_retries += 1
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "deadline_retry", "engine", now,
-                        request_id=request.request_id, retry=request.retries,
-                    )
-                if self._metrics is not None:
-                    self._metrics.counter("engine.deadline_retries").inc()
-            else:
-                self.scheduler.shed(
-                    request,
-                    f"deadline: no first token within {request.deadline:g}s "
-                    f"after {request.retries} retries",
-                )
-
-    def _slowdown(self) -> float:
-        return self.injector.compute_slowdown() if self.injector is not None else 1.0
-
-    def _maybe_checkpoint(self, request: Request) -> None:
-        if self.policy is None:
-            return
-        if request.generated % self.policy.checkpoint_interval == 0:
-            request.checkpoint = request.generated
-
-    def _grow_kv(self, request: Request) -> bool:
-        """Extend a runner's KV allocation by one token; shed on a full
-        pool in graceful mode (only reachable with a single runner)."""
-        try:
-            self.block_manager.append_token(request.request_id)
-            return True
-        except KvCacheError:
-            if not self._graceful:
-                raise
-            self.scheduler.shed(request, "kv-exhausted: pool full during decode")
-            return False
 
     def _build_report(
         self,
@@ -1442,23 +1383,10 @@ class LlmServingEngine:
         terminal requests were folded at retirement, so only the live
         (still-scheduled) remainder is walked here."""
         agg = self._aggregates
-        live_tokens = 0
-        live_retried = 0
-        if self._fast and self._core is not None:
-            core = self._core
-            for slot in core.run_slots:
-                live_tokens += int(core.generated[slot])
-                if core.retries[slot] > 0:
-                    live_retried += 1
-            for slot in core.waiting_slots():
-                live_tokens += int(core.generated[slot])
-                if core.retries[slot] > 0:
-                    live_retried += 1
-        else:
-            for request in self.scheduler.waiting + self.scheduler.running:
-                live_tokens += request.generated
-                if request.retries > 0:
-                    live_retried += 1
+        core = self._core
+        live = core.live_slots()
+        live_tokens = core.live_generated_total()
+        live_retried = sum(1 for slot in live if core.retries[slot] > 0)
         finished = agg.finished
         power = 0.0
         if now > 0:
@@ -1484,13 +1412,3 @@ class LlmServingEngine:
             device_failures=self.fault_stats.device_failures,
             watchdog_reason=watchdog_reason,
         )
-
-    # ------------------------------------------------------------------
-    def _ensure_headroom(self, running: List[Request]) -> int:
-        """Preempt newest requests until every runner can grow a block."""
-        preempted = 0
-        while self.block_manager.free_blocks < len(running) and len(running) > 1:
-            victim = running.pop()
-            self.scheduler.preempt(victim)
-            preempted += 1
-        return preempted

@@ -1,11 +1,8 @@
-"""Struct-of-arrays state store for the vectorized serving fast path.
+"""Struct-of-arrays request store of the serving engine.
 
-The scalar engine keeps every request as a live Python object and walks
-the batch attribute-by-attribute each virtual step.  At million-request
-scale that object traffic dominates the wall clock, so the fast path
-(:meth:`~repro.serving.engine.LlmServingEngine` with
-``engine_mode="vectorized"``) keeps request state in parallel numpy
-arrays keyed by a stable *slot* index instead:
+:class:`~repro.serving.engine.LlmServingEngine` keeps request state in
+parallel numpy arrays keyed by a stable *slot* index instead of walking
+live Python objects every virtual step:
 
 * a slot is acquired when a request is fed and recycled once the
   request reaches a terminal state and has been materialized back onto
@@ -14,12 +11,14 @@ arrays keyed by a stable *slot* index instead:
 * one decode burst prices many virtual steps against integer context
   aggregates (see ``LlamaCostModel.decode_stepper``) without touching
   any per-request object;
-* the thin ``Request`` objects remain the API boundary: they are
-  materialized from the arrays at every lifecycle event (admission,
-  preemption, retirement) and at ``advance()`` exit, so reports,
-  journaling, and audit transitions keep their exact scalar semantics.
+* the thin ``Request`` objects remain the API boundary: lifecycle
+  transitions (admission, preemption, retry, shed, failure, finish)
+  fire on them as they happen, and ``advance()`` exit copies every live
+  slot's progress back, so reports, journaling, fleet polling and
+  audit transitions see per-request state exactly as the engine
+  defines it.
 
-The module also owns the process-wide fast-path counters surfaced by
+The module also owns the process-wide engine counters surfaced by
 ``repro top`` and :class:`ReportAggregates`, the constant-memory
 folding sink used when the engine runs with ``retain_requests=False``.
 """
@@ -31,6 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.serving.kv_cache import KvCacheStats
 from repro.serving.request import Request, RequestState
 
 __all__ = [
@@ -43,23 +43,15 @@ __all__ = [
     "reset_counters",
 ]
 
-# -- slot states (int8 codes mirroring RequestState) ----------------------
+# -- slot states (int8 codes of the live RequestStates) --------------------
 SLOT_FREE = -1
 SLOT_WAITING = 0
 SLOT_RUNNING = 1
 SLOT_FINISHED = 2
-SLOT_SHED = 3
-SLOT_FAILED = 4
 
-_STATE_OF_CODE = {
-    SLOT_WAITING: RequestState.WAITING,
-    SLOT_RUNNING: RequestState.RUNNING,
-    SLOT_FINISHED: RequestState.FINISHED,
-    SLOT_SHED: RequestState.SHED,
-    SLOT_FAILED: RequestState.FAILED,
-}
-
-#: Process-wide fast-path health counters (the ``repro top`` section).
+#: Process-wide engine counters (the ``repro top`` section).  Every run
+#: steps the vectorized core; the ``scalar_*`` keys stay (reading 0)
+#: for readers that sum both.
 CORE_COUNTERS: Dict[str, int] = {
     "vectorized_steps": 0,
     "scalar_steps": 0,
@@ -81,12 +73,12 @@ def bump_counter(name: str, amount: int = 1) -> None:
 
 
 def counters_snapshot() -> Dict[str, int]:
-    """A copy of the process-wide fast-path counters."""
+    """A copy of the process-wide engine counters."""
     return dict(CORE_COUNTERS)
 
 
 def reset_counters() -> None:
-    """Zero every process-wide fast-path counter (test isolation)."""
+    """Zero every process-wide engine counter (test isolation)."""
     for key in CORE_COUNTERS:
         CORE_COUNTERS[key] = 0
 
@@ -95,10 +87,8 @@ def render_counters() -> str:
     """Fixed-format counter block for ``repro top``."""
     c = CORE_COUNTERS
     return "\n".join([
-        f"  steps      : {c['vectorized_steps']} vectorized | "
-        f"{c['scalar_steps']} scalar",
-        f"  runs       : {c['vectorized_runs']} vectorized | "
-        f"{c['scalar_runs']} scalar",
+        f"  steps      : {c['vectorized_steps']} vectorized",
+        f"  runs       : {c['vectorized_runs']} vectorized",
         f"  slots      : {c['slot_high_water']} high-water mark",
         f"  arrivals   : {c['arrival_buffer_peak']} peak buffered",
     ])
@@ -112,19 +102,23 @@ class EngineCore:
     * a slot id is owned by at most one live request; recycled slots
       re-enter circulation only after their previous occupant reached a
       terminal state and was materialized;
-    * shadow KV accounting conserves blocks: free plus the blocks held
-      by running slots always equals the pool size;
-    * ``wait_q[wait_head:]`` is sorted by arrival time.
+    * KV accounting conserves blocks: free plus the blocks held by
+      running slots always equals the pool size;
+    * ``wait_q[wait_head:]`` is sorted by (tier, arrival time).
     """
 
     __slots__ = (
         "block_size", "num_blocks", "free_blocks",
         "capacity", "input_tokens", "output_tokens", "generated",
         "arrival", "first_token", "finish", "restarts", "retries",
-        "state", "objs", "free_slots", "wait_q", "wait_head",
-        "run_slots", "finished_pending", "slots_acquired",
-        "slot_high_water", "vectorized_steps",
+        "tier", "checkpoint", "deadline",
+        "state", "objs", "free_slots", "wait_q", "wait_head", "tiers_seen",
+        "run_slots", "finished_pending", "slot_high_water",
     )
+
+    _INT_COLUMNS = ("input_tokens", "output_tokens", "generated", "restarts",
+                    "retries", "tier", "checkpoint")
+    _NAN_COLUMNS = ("first_token", "finish", "deadline")
 
     def __init__(self, num_blocks: int, block_size: int, capacity: int = 64) -> None:
         self.block_size = block_size
@@ -132,46 +126,37 @@ class EngineCore:
         self.free_blocks = num_blocks
         self.capacity = max(8, capacity)
         n = self.capacity
-        self.input_tokens = np.zeros(n, dtype=np.int64)
-        self.output_tokens = np.zeros(n, dtype=np.int64)
-        self.generated = np.zeros(n, dtype=np.int64)
+        for name in self._INT_COLUMNS:
+            setattr(self, name, np.zeros(n, dtype=np.int64))
+        for name in self._NAN_COLUMNS:
+            setattr(self, name, np.full(n, np.nan))
         self.arrival = np.zeros(n, dtype=np.float64)
-        self.first_token = np.full(n, np.nan)
-        self.finish = np.full(n, np.nan)
-        self.restarts = np.zeros(n, dtype=np.int64)
-        self.retries = np.zeros(n, dtype=np.int64)
         self.state = np.full(n, SLOT_FREE, dtype=np.int8)
         self.objs: List[Optional[Request]] = [None] * n
         self.free_slots: List[int] = list(range(n - 1, -1, -1))
         self.wait_q: List[int] = []
         self.wait_head = 0
+        #: Tiers fed so far: while only one is seen, the waiting queue
+        #: is arrival-sorted and admission stops at the first unarrived
+        #: request; mixed tiers scan past unarrived premium work.
+        self.tiers_seen: set = set()
         self.run_slots: List[int] = []
-        #: Slots that FINISHED during the last burst, awaiting retirement
-        #: at the next virtual scheduler step (mirrors the scalar order).
+        #: Slots that FINISHED and await retirement at the next virtual
+        #: scheduler step (they still hold their KV blocks).
         self.finished_pending: List[int] = []
-        self.slots_acquired = 0
         self.slot_high_water = 0
-        self.vectorized_steps = 0
 
     # -- slot lifecycle ------------------------------------------------
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name in ("input_tokens", "output_tokens", "generated",
-                     "restarts", "retries"):
-            arr = np.zeros(new, dtype=np.int64)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        arr = np.zeros(new)
-        arr[:old] = self.arrival
-        self.arrival = arr
-        for name in ("first_token", "finish"):
-            arr = np.full(new, np.nan)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        state = np.full(new, SLOT_FREE, dtype=np.int8)
-        state[:old] = self.state
-        self.state = state
+        for name in self._INT_COLUMNS + self._NAN_COLUMNS + ("arrival", "state"):
+            column = getattr(self, name)
+            fill = SLOT_FREE if name == "state" else (
+                np.nan if name in self._NAN_COLUMNS else 0)
+            grown = np.full(new, fill, dtype=column.dtype)
+            grown[:old] = column
+            setattr(self, name, grown)
         self.objs.extend([None] * (new - old))
         self.free_slots.extend(range(new - 1, old - 1, -1))
         self.capacity = new
@@ -181,19 +166,16 @@ class EngineCore:
         if not self.free_slots:
             self._grow()
         slot = self.free_slots.pop()
-        self.input_tokens[slot] = request.input_tokens
+        self.objs[slot] = request
+        self.load(slot)
         self.output_tokens[slot] = request.output_tokens
-        self.generated[slot] = request.generated
-        self.arrival[slot] = request.arrival_time
-        self.first_token[slot] = (
-            np.nan if request.first_token_time is None else request.first_token_time
+        self.tier[slot] = request.tier
+        self.deadline[slot] = (
+            np.nan if request.deadline is None else request.deadline
         )
         self.finish[slot] = np.nan
-        self.restarts[slot] = request.restarts
-        self.retries[slot] = request.retries
         self.state[slot] = SLOT_WAITING
-        self.objs[slot] = request
-        self.slots_acquired += 1
+        self.tiers_seen.add(request.tier)
         live = self.capacity - len(self.free_slots)
         if live > self.slot_high_water:
             self.slot_high_water = live
@@ -207,21 +189,22 @@ class EngineCore:
         self.objs[slot] = None
         self.free_slots.append(slot)
 
-    # -- waiting queue (arrival-sorted, matching the scheduler) --------
+    # -- waiting queue ((tier, arrival)-sorted) ------------------------
     def insort_waiting(self, slot: int, left: bool = False) -> None:
-        """Insert into the active waiting region by arrival time.
+        """Insert into the active waiting region by (tier, arrival).
 
-        ``left=False`` lands after equal arrivals (submission FIFO);
+        ``left=False`` lands after equal keys (submission FIFO);
         ``left=True`` lands before them (preempted victims re-admit
-        ahead of later arrivals) -- the scalar scheduler's exact rule.
+        ahead of later arrivals).
         """
-        at = float(self.arrival[slot])
+        key = (int(self.tier[slot]), float(self.arrival[slot]))
+        tier, arrival = self.tier, self.arrival
         q = self.wait_q
         lo, hi = self.wait_head, len(q)
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = float(self.arrival[q[mid]])
-            if probe < at or (not left and probe == at):
+            probe = (int(tier[q[mid]]), float(arrival[q[mid]]))
+            if probe < key or (not left and probe == key):
                 lo = mid + 1
             else:
                 hi = mid
@@ -231,12 +214,19 @@ class EngineCore:
     def waiting_count(self) -> int:
         return len(self.wait_q) - self.wait_head
 
+    @property
+    def single_tier(self) -> bool:
+        return len(self.tiers_seen) <= 1
+
     def waiting_head(self) -> Optional[int]:
         if self.wait_head < len(self.wait_q):
             return self.wait_q[self.wait_head]
         return None
 
-    def pop_waiting_head(self) -> int:
+    def take_waiting(self, index: int) -> int:
+        """Remove and return the waiting entry at queue ``index``."""
+        if index > self.wait_head:
+            return self.wait_q.pop(index)
         slot = self.wait_q[self.wait_head]
         self.wait_head += 1
         if self.wait_head > 512 and self.wait_head * 2 > len(self.wait_q):
@@ -244,35 +234,83 @@ class EngineCore:
             self.wait_head = 0
         return slot
 
+    def remove_waiting(self, slot: int) -> None:
+        self.take_waiting(self.wait_q.index(slot, self.wait_head))
+
     def waiting_slots(self) -> List[int]:
         return self.wait_q[self.wait_head:]
 
-    # -- shadow KV accounting ------------------------------------------
+    def first_arrived(self, now: float) -> Optional[int]:
+        """Queue index of the highest-priority waiting request that has
+        arrived by ``now`` (None when none has)."""
+        arrival = self.arrival
+        for index in range(self.wait_head, len(self.wait_q)):
+            if arrival[self.wait_q[index]] <= now:
+                return index
+            if self.single_tier:
+                return None  # arrival-sorted: nothing behind has arrived
+        return None
+
+    def next_arrival(self) -> float:
+        """Earliest arrival among waiting requests (inf when empty)."""
+        if self.wait_head == len(self.wait_q):
+            return math.inf
+        if self.single_tier:
+            return float(self.arrival[self.wait_q[self.wait_head]])
+        return float(self.arrival[self.waiting_slots()].min())
+
+    # -- KV accounting -------------------------------------------------
     def blocks_needed(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
+
+    def context_len(self, slot: int) -> int:
+        return int(self.input_tokens[slot]) + int(self.generated[slot])
 
     def blocks_held(self, slot: int) -> int:
         """Blocks a post-prefill slot holds.
 
-        The block manager's token count for a running request trails its
-        ``context_len`` by one (admission allocates the prompt; the
-        prefill's first token bumps ``generated`` without an append), so
-        a slot with ``generated`` tokens holds
+        Admission allocates the context; the prefill's first token bumps
+        ``generated`` without an append, and every decode token appends
+        one.  A slot with ``generated`` tokens therefore holds
         ``ceil((input + generated - 1) / block_size)`` blocks.
         """
-        return self.blocks_needed(
-            int(self.input_tokens[slot]) + int(self.generated[slot]) - 1
-        )
+        return self.blocks_needed(self.context_len(slot) - 1)
 
-    def allocate_shadow(self, slot: int) -> int:
-        """Charge the admission allocation for ``slot``'s context."""
-        needed = self.blocks_needed(
-            int(self.input_tokens[slot]) + int(self.generated[slot])
+    def has_headroom(self, needed: int, watermark: float) -> bool:
+        """``needed`` blocks fit the pool without pushing occupancy above
+        ``watermark`` (an empty pool always admits a fitting request)."""
+        if needed > self.free_blocks:
+            return False
+        allocated = self.num_blocks - self.free_blocks
+        return allocated + needed <= max(watermark * self.num_blocks, needed)
+
+    @property
+    def allocated_blocks(self) -> int:
+        return self.num_blocks - self.free_blocks
+
+    def stats(self) -> KvCacheStats:
+        """Occupancy snapshot of the pool."""
+        return KvCacheStats(
+            total_blocks=self.num_blocks,
+            allocated_blocks=self.allocated_blocks,
+            used_tokens=sum(self.context_len(s) - 1 for s in self.run_slots),
+            block_size=self.block_size,
         )
-        self.free_blocks -= needed
-        return needed
 
     # -- materialization ------------------------------------------------
+    def load(self, slot: int) -> None:
+        """Copy a request object's progress into its slot."""
+        request = self.objs[slot]
+        self.input_tokens[slot] = request.input_tokens
+        self.generated[slot] = request.generated
+        self.arrival[slot] = request.arrival_time
+        self.first_token[slot] = (
+            np.nan if request.first_token_time is None else request.first_token_time
+        )
+        self.restarts[slot] = request.restarts
+        self.retries[slot] = request.retries
+        self.checkpoint[slot] = request.checkpoint
+
     def sync_object(self, slot: int) -> Request:
         """Copy a live slot's progress onto its Request (no transition)."""
         request = self.objs[slot]
@@ -280,47 +318,43 @@ class EngineCore:
         first = self.first_token[slot]
         request.first_token_time = None if math.isnan(first) else float(first)
         request.restarts = int(self.restarts[slot])
+        request.checkpoint = int(self.checkpoint[slot])
+        return request
+
+    def materialize_finished(self, slot: int) -> Request:
+        """Apply a FINISHED slot to its Request, firing the transition
+        once (idempotent: a request read back at ``advance()`` exit is
+        not finished again at retirement)."""
+        request = self.objs[slot]
+        if request.state is not RequestState.FINISHED:
+            self.sync_object(slot)
+            request.finish_time = float(self.finish[slot])
+            request._transition(RequestState.FINISHED)
         return request
 
     def sync_live_objects(self) -> None:
-        """Materialize every live (waiting/running) slot -- called at
-        ``advance()`` exit so external observers never see stale state."""
+        """Copy every live slot back onto its Request -- called at
+        ``advance()`` exit so external observers (a fleet node polling
+        ``request.state``) never see stale state."""
         for slot in self.run_slots:
-            if self.state[slot] == SLOT_RUNNING:
+            if self.state[slot] == SLOT_FINISHED:
+                self.materialize_finished(slot)
+            else:
                 self.sync_object(slot)
         for slot in self.waiting_slots():
             self.sync_object(slot)
-
-    def materialize_terminal(self, slot: int) -> Request:
-        """Apply a slot's terminal state to its Request object, firing
-        the (legal) lifecycle transition for the auditor."""
-        request = self.objs[slot]
-        request.restarts = int(self.restarts[slot])
-        code = int(self.state[slot])
-        if code == SLOT_FINISHED:
-            delta = int(self.generated[slot]) - request.generated
-            request.record_tokens_bulk(
-                delta, float(self.first_token[slot]), float(self.finish[slot])
-            )
-        else:
-            self.sync_object(slot)
-            if code != SLOT_RUNNING and code != SLOT_WAITING:
-                request._transition(_STATE_OF_CODE[code])
-        return request
 
     # -- aggregate views ------------------------------------------------
     @property
     def has_unfinished(self) -> bool:
         return bool(self.run_slots) or self.wait_head < len(self.wait_q)
 
+    def live_slots(self) -> List[int]:
+        return self.run_slots + self.waiting_slots()
+
     def live_generated_total(self) -> int:
         """Generated-token total over live (non-terminal) slots."""
-        total = 0
-        for slot in self.run_slots:
-            total += int(self.generated[slot])
-        for slot in self.waiting_slots():
-            total += int(self.generated[slot])
-        return total
+        return sum(int(self.generated[slot]) for slot in self.live_slots())
 
 
 #: Log-spaced TTFT histogram bin edges for the constant-memory p99

@@ -45,12 +45,8 @@ class KvCacheStats:
 class BlockManager:
     """Allocates KV-cache blocks to requests.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` bound (see
-    :meth:`bind_metrics`), every allocate/append/free updates the
-    ``kv.*`` counters and occupancy gauge; unbound, the hooks cost one
-    None test.  Likewise an :class:`~repro.audit.Auditor` bound via
-    :meth:`bind_auditor` verifies block conservation after every pool
-    mutation.
+    An :class:`~repro.audit.Auditor` bound via :meth:`bind_auditor`
+    verifies block conservation after every pool mutation.
 
     Misuse (freeing an unknown or already-freed request id,
     re-allocating an existing id) always raises :class:`KvCacheError` --
@@ -58,7 +54,7 @@ class BlockManager:
     double-free would silently skew every downstream occupancy metric.
     """
 
-    def __init__(self, num_blocks: int, block_size: int, metrics=None) -> None:
+    def __init__(self, num_blocks: int, block_size: int) -> None:
         if num_blocks <= 0 or block_size <= 0:
             raise ValueError("num_blocks and block_size must be positive")
         self.num_blocks = num_blocks
@@ -66,21 +62,11 @@ class BlockManager:
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
         self._tokens: Dict[int, int] = {}
-        self.metrics = metrics
         self.auditor = None
-
-    def bind_metrics(self, metrics) -> None:
-        """Attach a metrics registry (or None to detach)."""
-        self.metrics = metrics
 
     def bind_auditor(self, auditor) -> None:
         """Attach an :class:`~repro.audit.Auditor` (or None to detach)."""
         self.auditor = auditor
-
-    def _observe_occupancy(self) -> None:
-        self.metrics.gauge("kv.occupancy").set(
-            (self.num_blocks - len(self._free)) / self.num_blocks
-        )
 
     # ------------------------------------------------------------------
     def blocks_needed(self, num_tokens: int) -> int:
@@ -118,10 +104,6 @@ class BlockManager:
         blocks = [self._free.pop() for _ in range(needed)]
         self._tables[request_id] = blocks
         self._tokens[request_id] = num_tokens
-        if self.metrics is not None:
-            self.metrics.counter("kv.allocations").inc()
-            self.metrics.counter("kv.blocks_allocated").inc(needed)
-            self._observe_occupancy()
         if self.auditor is not None:
             self.auditor.on_kv_op(self)
         return list(blocks)
@@ -137,9 +119,6 @@ class BlockManager:
             if not self._free:
                 raise KvCacheError("out of KV blocks during decode")
             self._tables[request_id].append(self._free.pop())
-            if self.metrics is not None:
-                self.metrics.counter("kv.blocks_allocated").inc()
-                self._observe_occupancy()
             if self.auditor is not None:
                 self.auditor.on_kv_op(self)
             return True
@@ -160,10 +139,6 @@ class BlockManager:
             )
         self._tokens.pop(request_id, None)
         self._free.extend(reversed(blocks))
-        if self.metrics is not None:
-            self.metrics.counter("kv.frees").inc()
-            self.metrics.counter("kv.blocks_freed").inc(len(blocks))
-            self._observe_occupancy()
         if self.auditor is not None:
             self.auditor.on_kv_op(self)
 

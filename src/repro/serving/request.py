@@ -163,28 +163,6 @@ class Request:
             self._transition(RequestState.FINISHED)
             self.finish_time = now
 
-    def record_tokens_bulk(
-        self, count: int, first_token_time: float, now: float
-    ) -> None:
-        """Account ``count`` generated tokens in one call.
-
-        The vectorized engine core prices whole decode bursts against
-        slot arrays and only materializes the result back onto the
-        request object at lifecycle events; this is that materialization
-        step, with the same legality guard and terminal transition as
-        ``count`` individual :meth:`record_token` calls.
-        """
-        if self.state is not RequestState.RUNNING:
-            raise RuntimeError(f"request {self.request_id} is not running")
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self.generated += count
-        if self.first_token_time is None:
-            self.first_token_time = first_token_time
-        if self.done:
-            self._transition(RequestState.FINISHED)
-            self.finish_time = now
-
     # -- fault/degradation transitions -----------------------------------
     def restart(self, from_checkpoint: bool = False) -> None:
         """Send the request back to the wait queue for recompute.

@@ -82,29 +82,11 @@ class ContinuousBatchingScheduler:
         #: premium work to admit arrived best-effort work.
         self._tiers_seen: set = set()
         self.running: List[Request] = []
-        #: Bumped whenever the running batch's membership changes; the
-        #: engine compares it to decide whether its incremental
-        #: decode-batch statistics are still valid.
+        #: Bumped whenever the running batch's membership changes.
         self.mutation_count = 0
-        self.tracer = None
-        self.metrics = None
-        #: Per-run :class:`~repro.audit.RunAudit` handle (None = off);
-        #: the engine binds it so preemption/resubmission rollbacks
-        #: enter the token-conservation ledger.
+        #: Per-run :class:`~repro.audit.RunAudit` handle (None = off):
+        #: preemption/resubmission rollbacks enter its token ledger.
         self.audit = None
-        #: Virtual time of the last :meth:`step`; preempt/shed events
-        #: (which take no clock argument) are stamped with it.
-        self._last_now = 0.0
-        #: Called with each request as it leaves the scheduler in a
-        #: terminal state (retired, shed, or failed).  The engine binds
-        #: it in ``retain_requests=False`` runs to fold metrics without
-        #: keeping the object alive.
-        self.on_retire = None
-
-    def bind_observability(self, tracer, metrics) -> None:
-        """Attach a tracer / metrics registry (None disables either)."""
-        self.tracer = tracer
-        self.metrics = metrics
 
     def bind_audit(self, audit) -> None:
         """Attach a per-run audit handle (or None to detach)."""
@@ -158,25 +140,13 @@ class ContinuousBatchingScheduler:
 
     def step(self, now: float) -> ScheduleStep:
         """Admit what fits, retire what finished, return the batch."""
-        self._last_now = now
         # Retire finished requests and release their blocks.
         still_running: List[Request] = []
         retired = 0
         for request in self.running:
             if request.state is RequestState.FINISHED:
-                blocks = len(self.block_manager.block_list(request.request_id))
                 self.block_manager.free(request.request_id)
                 retired += 1
-                if self.on_retire is not None:
-                    self.on_retire(request)
-                if self.tracer is not None:
-                    # Pool bookkeeping is instantaneous on the virtual
-                    # clock; the zero-width span marks the event on the
-                    # ``kv`` track with its block count.
-                    self.tracer.record(
-                        "kv.free", "kv", now, now,
-                        request_id=request.request_id, blocks=blocks,
-                    )
             else:
                 still_running.append(request)
         self.running = still_running
@@ -208,38 +178,12 @@ class ContinuousBatchingScheduler:
             ):
                 break
             self.waiting.pop(index)
-            blocks = self.block_manager.allocate(request.request_id, request.context_len)
+            self.block_manager.allocate(request.request_id, request.context_len)
             request.start_running()
             admitted.append(request)
-            if self.tracer is not None:
-                self.tracer.record(
-                    "kv.allocate", "kv", now, now,
-                    request_id=request.request_id, blocks=len(blocks),
-                )
         self.running.extend(admitted)
         if admitted or retired:
             self.mutation_count += 1
-        if self.tracer is not None:
-            # Scheduling is instantaneous on the virtual clock, so the
-            # span is zero-width; its args carry the admission ledger.
-            self.tracer.record(
-                "scheduler.step",
-                "scheduler",
-                now,
-                now,
-                admitted=len(admitted),
-                retired=retired,
-                running=len(self.running),
-                waiting=len(self.waiting),
-            )
-        if self.metrics is not None:
-            self.metrics.counter("scheduler.steps").inc()
-            if admitted:
-                self.metrics.counter("scheduler.admitted").inc(len(admitted))
-            if retired:
-                self.metrics.counter("scheduler.retired").inc(retired)
-            self.metrics.gauge("scheduler.running").set(len(self.running))
-            self.metrics.gauge("scheduler.waiting").set(len(self.waiting))
         return ScheduleStep(new_requests=admitted, running=list(self.running))
 
     # -- degradation paths ------------------------------------------------
@@ -258,32 +202,14 @@ class ContinuousBatchingScheduler:
             raise ValueError(f"request {victim.request_id} is not running")
         self.running.remove(victim)
         self.mutation_count += 1
-        blocks = len(self.block_manager.block_list(victim.request_id))
         self.block_manager.free(victim.request_id)
         if victim.state is RequestState.FINISHED:
-            if self.on_retire is not None:
-                self.on_retire(victim)
-            if self.tracer is not None:
-                self.tracer.record(
-                    "kv.free", "kv", self._last_now, self._last_now,
-                    request_id=victim.request_id, blocks=blocks,
-                )
             return
         if self.audit is not None:
             kept = victim.checkpoint if from_checkpoint else 0
             self.audit.on_tokens_rolled_back(victim.generated - kept)
         victim.restart(from_checkpoint=from_checkpoint)
         _insort_by_arrival(self.waiting, victim, left=True)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "preempt",
-                "scheduler",
-                self._last_now,
-                request_id=victim.request_id,
-                from_checkpoint=from_checkpoint,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("scheduler.preemptions").inc()
 
     def shed(self, request: Request, reason: str) -> None:
         """Drop a request from either queue with a rejection reason.
@@ -298,24 +224,10 @@ class ContinuousBatchingScheduler:
             self.mutation_count += 1
             self.block_manager.free(request.request_id)
             if request.state is RequestState.FINISHED:
-                if self.on_retire is not None:
-                    self.on_retire(request)
                 return
         else:
             raise ValueError(f"request {request.request_id} is not scheduled")
         request.shed(reason)
-        if self.on_retire is not None:
-            self.on_retire(request)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "shed",
-                "scheduler",
-                self._last_now,
-                request_id=request.request_id,
-                reason=reason,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("scheduler.sheds").inc()
 
     def fail_all(self, reason: str) -> List[Request]:
         """Terminally fail every scheduled request (e.g. total outage).
@@ -327,7 +239,6 @@ class ContinuousBatchingScheduler:
             r for r in self.waiting + self.running
             if r.state is not RequestState.FINISHED
         ]
-        finished = [r for r in self.running if r.state is RequestState.FINISHED]
         for request in self.running:
             self.block_manager.free(request.request_id)
         if self.running:
@@ -336,16 +247,4 @@ class ContinuousBatchingScheduler:
         self.running = []
         for request in victims:
             request.fail(reason)
-        if self.on_retire is not None:
-            for request in finished:
-                self.on_retire(request)
-            for request in victims:
-                self.on_retire(request)
-        if victims and self.tracer is not None:
-            self.tracer.instant(
-                "fail_all", "scheduler", self._last_now,
-                victims=len(victims), reason=reason,
-            )
-        if victims and self.metrics is not None:
-            self.metrics.counter("scheduler.failed").inc(len(victims))
         return victims

@@ -305,7 +305,7 @@ class TestWatchdog:
         assert report.watchdog_tripped
         assert "PARTIAL RESULT" in report.render()
         # The watchdog path must not leak KV blocks.
-        assert engine.block_manager.allocated_blocks == 0
+        assert engine.kv_stats().allocated_blocks == 0
 
     def test_untripped_run_reports_nothing(self, gaudi):
         engine = LlmServingEngine(

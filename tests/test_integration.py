@@ -53,7 +53,7 @@ class TestServingPipelines:
             max_decode_batch=8,
         )
         report = engine.run(dynamic_sonnet_requests(10, seed=11))
-        stats = engine.block_manager.stats()
+        stats = engine.kv_stats()
         assert stats.allocated_blocks == 0  # everything freed at the end
         assert report.engine_steps > 0
 
