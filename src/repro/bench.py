@@ -56,8 +56,8 @@ BEFORE_SECONDS: Dict[str, float] = {
     "fig12_serving": 0.331,
     "fig17_serving": 3.528,
     "serve_256": 0.442,
-    # Scalar-engine (pre-vectorization) streaming runs, measured with
-    # REPRO_ENGINE=scalar on the same machine as the entries above.
+    # Streaming runs on the per-request engine that preceded the
+    # vectorized core, measured on the same machine as the entries above.
     "serve_50k": 22.545,
     "serve_1m": 549.22,
     # The same design-space sweeps priced through the exact cost models

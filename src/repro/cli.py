@@ -36,6 +36,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
+from repro.audit import ConfigError
 from repro.core.report import render_table
 from repro.hw.backend import (
     BACKENDS_ENV,
@@ -414,13 +415,12 @@ def _parse_nodes_spec(spec: str):
             continue
         match = re.fullmatch(r"(\d+)\s*x\s*([A-Za-z0-9_-]+)", part)
         if match is None:
-            raise SystemExit(
-                f"repro fleet: bad --nodes pool {part!r} "
-                "(expected e.g. '4x gaudi2,2x a100')"
+            raise ConfigError(
+                f"bad --nodes pool {part!r} (expected e.g. '4x gaudi2,2x a100')"
             )
         pools.append((match.group(2), int(match.group(1))))
     if not pools:
-        raise SystemExit("repro fleet: --nodes names no pools")
+        raise ConfigError("--nodes names no pools")
     return tuple(pools)
 
 
@@ -1041,12 +1041,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "audit", None):
-        from repro.audit import configure
-
-        configure(args.audit)
     try:
+        if getattr(args, "audit", None):
+            from repro.audit import configure
+
+            configure(args.audit)
         return args.fn(args)
+    except ConfigError as error:
+        # A typed configuration error is the user's input, not a bug:
+        # one line on stderr and the usage-error exit code.
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe; point
         # stdout at devnull so the interpreter's exit flush stays quiet.

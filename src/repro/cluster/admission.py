@@ -23,6 +23,7 @@ activity process-wide.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -228,9 +229,12 @@ def parse_tenants_spec(spec: str) -> Tuple[TenantSpec, ...]:
         if name in seen:
             raise ConfigError(f"duplicate tenant name {name!r}")
         seen.add(name)
+        tier = kwargs.get("tier", DEFAULT_TIER)
+        if not float(tier).is_integer():
+            raise ConfigError(f"bad tenant spec {item!r}: tier {tier!r} is not an integer")
         tenants.append(TenantSpec(
             name=name,
-            tier=int(kwargs.get("tier", DEFAULT_TIER)),
+            tier=int(tier),
             share=kwargs.get("share", 1.0),
             weight=kwargs.get("weight", 1.0),
             quota_rate=kwargs.get("rate"),
@@ -718,15 +722,15 @@ class UpgradePlan:
     poll_interval: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ConfigError(f"upgrade start must be >= 0, got {self.start!r}")
-        if self.restart_delay < 0:
+        if not 0 <= self.start < math.inf:
+            raise ConfigError(f"upgrade start must be finite and >= 0, got {self.start!r}")
+        if not 0 <= self.restart_delay < math.inf:
             raise ConfigError(
-                f"restart_delay must be >= 0, got {self.restart_delay!r}"
+                f"restart_delay must be finite and >= 0, got {self.restart_delay!r}"
             )
-        if self.poll_interval <= 0:
+        if not 0 < self.poll_interval < math.inf:
             raise ConfigError(
-                f"poll_interval must be positive, got {self.poll_interval!r}"
+                f"poll_interval must be finite and positive, got {self.poll_interval!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:

@@ -21,6 +21,7 @@ semicolon-separated list of events::
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -56,8 +57,10 @@ class NodeFaultEvent:
     factor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"event time must be >= 0, got {self.time!r}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ConfigError(
+                f"event time must be finite and >= 0, got {self.time!r}"
+            )
         if not self.node:
             raise ConfigError("event must name a node")
 
@@ -181,11 +184,7 @@ class NodeFaultPlan:
                 raise ConfigError(
                     f"bad fleet fault spec {item!r}: expected kind:node@t=T[,...]"
                 )
-            kind = kind.strip()
-            try:
-                plan._parse_one(kind, rest)
-            except ValueError as error:
-                raise ConfigError(str(error)) from None
+            plan._parse_one(kind.strip(), rest)
         return plan
 
     def _parse_one(self, kind: str, rest: str) -> None:

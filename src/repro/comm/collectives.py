@@ -157,14 +157,16 @@ def record_collective(result: CollectiveResult, metrics) -> None:
 
 
 def effective_participants(topology: Topology, requested: int) -> int:
-    """Clamp a collective's participant count to the alive devices.
+    """Clamp a collective's participant count to its alive members.
 
-    Degraded topology views expose :meth:`alive_devices`; healthy
-    topologies run with all requested participants."""
+    The group is devices ``0..requested-1`` (a TP group's ranks), so a
+    failure elsewhere in the box leaves it whole.  Degraded topology
+    views expose :meth:`alive_devices`; healthy topologies run with all
+    requested participants."""
     alive = getattr(topology, "alive_devices", None)
     if alive is None:
         return requested
-    return min(requested, alive())
+    return min(requested, alive(requested))
 
 
 def degraded_collective_time(

@@ -177,8 +177,10 @@ class _FaultView:
     num_devices: int
     RELAY_FACTOR: float
 
-    def alive_devices(self) -> int:
-        return self.health.alive(self.num_devices)
+    def alive_devices(self, within: Optional[int] = None) -> int:
+        """Alive devices among ids ``0..within-1`` (default: the box)."""
+        limit = self.num_devices if within is None else min(within, self.num_devices)
+        return self.health.alive(limit)
 
     def health_key(self) -> Tuple:
         """Sorted down devices and sorted link factors: everything the

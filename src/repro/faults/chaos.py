@@ -79,6 +79,13 @@ class ChaosConfig:
         self.device = resolve_backend(self.device)
         if self.tp < 1:
             raise ConfigError(f"tp must be >= 1, got {self.tp}")
+        for event in self.plan.events:
+            # The injector only models the TP group's devices 0..tp-1.
+            if max(event.device, event.peer) >= self.tp:
+                raise ConfigError(
+                    f"fault event '{event.describe()}' names a device outside "
+                    f"the TP group's devices 0..{self.tp - 1}"
+                )
         if self.max_decode_batch < 1:
             raise ConfigError(
                 f"max_decode_batch must be >= 1, got {self.max_decode_batch}"

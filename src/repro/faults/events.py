@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+from repro.audit import ConfigError
 
 
 class FaultKind(enum.Enum):
@@ -37,10 +40,10 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("event time must be >= 0")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ConfigError(f"event time must be finite and >= 0, got {self.time!r}")
         if not 0.0 <= self.factor <= 1.0:
-            raise ValueError("factor must be in [0, 1]")
+            raise ConfigError(f"factor must be in [0, 1], got {self.factor!r}")
 
     def describe(self) -> str:
         """Stable one-line rendering (used by the resilience report)."""

@@ -158,21 +158,21 @@ class FaultPlan:
         plan = cls(seed=seed, kernel_fault_rate=kernel_fault_rate)
         for spec in fail_device:
             head, kv = _parse_spec(spec, required=("t",), optional=("recover",))
-            plan.fail_device(int(head), kv["t"], recover_at=kv.get("recover"))
+            plan.fail_device(_integer(spec, head), kv["t"], recover_at=kv.get("recover"))
         for spec in degrade_link:
             head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-            a, b = _parse_link(head)
+            a, b = _parse_link(spec, head)
             plan.degrade_link(a, b, kv["factor"], kv["t"], until=kv.get("until"))
         for spec in flap_link:
             head, kv = _parse_spec(spec, required=("t", "period", "cycles"))
-            a, b = _parse_link(head)
-            plan.flap_link(a, b, kv["t"], kv["period"], int(kv["cycles"]))
+            a, b = _parse_link(spec, head)
+            plan.flap_link(a, b, kv["t"], kv["period"], _integer(spec, kv["cycles"]))
         for spec in throttle_hbm:
             head, kv = _parse_spec(spec, required=("t",), optional=("until",))
-            plan.throttle_hbm(float(head), kv["t"], until=kv.get("until"))
+            plan.throttle_hbm(_number(spec, head), kv["t"], until=kv.get("until"))
         for spec in straggler:
             head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-            plan.straggler(int(head), kv["factor"], kv["t"], until=kv.get("until"))
+            plan.straggler(_integer(spec, head), kv["factor"], kv["t"], until=kv.get("until"))
         return plan
 
 
@@ -181,31 +181,44 @@ def _parse_spec(
     required: Tuple[str, ...] = (),
     optional: Tuple[str, ...] = (),
 ) -> Tuple[str, Dict[str, float]]:
-    """Parse ``HEAD@key=value,key=value`` fault specs."""
+    """Parse ``HEAD@key=value,key=value`` fault specs (every value a
+    number; a malformed spec raises :class:`ConfigError`)."""
     head, sep, rest = spec.partition("@")
     if not sep or not head:
-        raise ValueError(f"bad fault spec {spec!r}: expected HEAD@t=TIME[,...]")
+        raise ConfigError(f"bad fault spec {spec!r}: expected HEAD@t=TIME[,...]")
     kv: Dict[str, float] = {}
     for item in rest.split(","):
         key, sep, value = item.partition("=")
         if not sep:
-            raise ValueError(f"bad fault spec {spec!r}: {item!r} is not key=value")
-        try:
-            kv[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(f"bad fault spec {spec!r}: {value!r} is not a number") from None
+            raise ConfigError(f"bad fault spec {spec!r}: {item!r} is not key=value")
+        kv[key.strip()] = _number(spec, value)
     for key in required:
         if key not in kv:
-            raise ValueError(f"bad fault spec {spec!r}: missing {key}=")
+            raise ConfigError(f"bad fault spec {spec!r}: missing {key}=")
     allowed = set(required) | set(optional)
     extra = set(kv) - allowed
     if extra:
-        raise ValueError(f"bad fault spec {spec!r}: unknown keys {sorted(extra)}")
+        raise ConfigError(f"bad fault spec {spec!r}: unknown keys {sorted(extra)}")
     return head.strip(), kv
 
 
-def _parse_link(head: str) -> Tuple[int, int]:
+def _number(spec: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"bad fault spec {spec!r}: {text!r} is not a number") from None
+
+
+def _integer(spec: str, value) -> int:
+    """``value`` (text or a parsed number) as an exact integer."""
+    number = _number(spec, value) if isinstance(value, str) else value
+    if not float(number).is_integer():
+        raise ConfigError(f"bad fault spec {spec!r}: {value!r} is not an integer")
+    return int(number)
+
+
+def _parse_link(spec: str, head: str) -> Tuple[int, int]:
     a, sep, b = head.partition("-")
     if not sep:
-        raise ValueError(f"bad link {head!r}: expected A-B device pair")
-    return int(a), int(b)
+        raise ConfigError(f"bad link {head!r} in {spec!r}: expected A-B device pair")
+    return _integer(spec, a), _integer(spec, b)

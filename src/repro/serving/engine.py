@@ -1,11 +1,14 @@
 """Step-driven LLM serving engine (the vLLM analog).
 
-The engine advances a virtual clock: each iteration admits requests
-through the continuous-batching scheduler, charges a prefill phase for
-newly admitted prompts, then one decode step for the whole running
-batch, using the bound :class:`~repro.models.llama.LlamaCostModel` and
-the selected decode-attention implementation.  TTFT and TPOT fall out
-of the per-request timestamps, which is how Figure 17(d, e) is
+The engine advances a virtual clock: each iteration retires finished
+requests and admits waiting ones by continuous batching, charges a
+prefill phase for newly admitted prompts, then one decode step for the
+whole running batch, using the bound
+:class:`~repro.models.llama.LlamaCostModel` and the selected
+decode-attention implementation.  Request state lives in the
+struct-of-arrays :class:`~repro.serving.engine_core.EngineCore`, and
+runs of pure decode steps are priced as one burst.  TTFT and TPOT fall
+out of the per-request timestamps, which is how Figure 17(d, e) is
 regenerated.
 
 With a :class:`ResiliencePolicy` (and optionally a
@@ -555,7 +558,7 @@ class LlmServingEngine:
         tracer = self._tracer
         observing = tracer is not None or self._metrics is not None
         model = self.model
-        inp, out, gen = core.input_tokens, core.output_tokens, core.generated
+        out, gen = core.output_tokens, core.generated
         first, finish, state = core.first_token, core.finish, core.state
         run_slots = core.run_slots
         activity = self._activity

@@ -5,9 +5,13 @@ requests leave, and waiting requests are admitted while (a) the running
 decode batch is below ``max_decode_batch`` -- the knob swept in
 Figure 17(d, e) -- and (b) the KV block pool can hold their prompts.
 
-Scheduler invariants (membership of ``waiting``/``running``, block
-ownership, request-state transitions) live here: the engine asks for
+This is the object-level form of the policy: it owns per-request
+queues over a :class:`~repro.serving.kv_cache.BlockManager`, and its
+invariants (membership of ``waiting``/``running``, block ownership,
+request-state transitions) live here -- callers ask for
 :meth:`preempt` / :meth:`shed` instead of reaching into the queues.
+:class:`~repro.serving.engine.LlmServingEngine` applies the same
+admission rules over its struct-of-arrays core.
 """
 
 from __future__ import annotations

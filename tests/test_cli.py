@@ -56,3 +56,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Paper vs measured" in out
         assert "**NO**" not in out
+
+
+class TestTypedErrors:
+    """A ConfigError is one stderr line and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--tenants", "gold:tier=x"],
+        ["fleet", "--nodes", "2y", "gaudi2"],
+        ["serve", "--backend", "nosuch"],
+        ["chaos", "--fail-device", "x@t=1"],
+        ["chaos", "--tp", "4", "--fail-device", "1@t=nan"],
+        ["chaos", "--tp", "4", "--degrade-link", "5-6@t=0,factor=0.1"],
+        ["chaos", "--flap-link", "0-1@t=1,period=0.5,cycles=1.5"],
+    ])
+    def test_config_error_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")

@@ -256,3 +256,30 @@ class TestFaultAwareTensorParallel:
             health.fail_device(device)
         tp = TensorParallelConfig(degree=8, library=HcclLibrary().degraded(health))
         assert tp.allreduce_time(1 << 20) == 0.0
+
+
+class TestTpGroupSurvivors:
+    """A TP group is devices 0..tp-1: survivors count inside it."""
+
+    def test_failures_inside_a_tp4_group_shrink_it(self):
+        health = FabricHealth()
+        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        health.fail_device(3)
+        health.fail_device(2)
+        assert effective_participants(mesh, 4) == 2
+        assert effective_participants(mesh, 8) == 6
+
+    def test_failure_outside_the_group_leaves_it_whole(self):
+        health = FabricHealth()
+        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        health.fail_device(6)
+        assert effective_participants(mesh, 4) == 4
+
+    def test_tp4_chaos_prices_the_shrunken_group(self):
+        from repro.faults import ChaosConfig, run_chaos
+
+        plan = FaultPlan.from_specs(fail_device=["3@t=0.1", "2@t=0.2"])
+        report = run_chaos(config=ChaosConfig(tp=4, num_requests=16, plan=plan))
+        assert report.alive_devices == 2
+        assert report.degraded_allreduce_bw < report.healthy_allreduce_bw
+        assert report.bandwidth_retention < 0.5

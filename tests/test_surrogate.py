@@ -282,12 +282,15 @@ class TestCli:
         assert "every surface within tolerance" in captured
         assert "best cell" in captured
 
-    def test_validate_missing_artifact_fails(self, tmp_path):
+    def test_validate_missing_artifact_fails(self, tmp_path, capsys):
         from repro.cli import main
 
-        with pytest.raises(ConfigError, match="repro surrogate fit"):
-            main(["surrogate", "validate", "--backend", "gaudi2",
-                  "--out", str(tmp_path / "empty")])
+        code = main(["surrogate", "validate", "--backend", "gaudi2",
+                     "--out", str(tmp_path / "empty")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro surrogate: error: no surrogate artifact")
+        assert "repro surrogate fit" in err
 
     def test_top_renders_surrogate_section(self, capsys):
         from repro.cli import main
