@@ -273,8 +273,8 @@ class LlmServingEngine:
             num_kv_blocks = max(1, model.max_kv_tokens() // block_size)
         if num_kv_blocks <= 0 or block_size <= 0:
             raise ValueError("num_kv_blocks and block_size must be positive")
-        self.admission_watermark = policy.admission_watermark if policy else 1.0
-        if not 0.0 < self.admission_watermark <= 1.0:
+        self._watermark = policy.admission_watermark if policy else 1.0
+        if not 0.0 < self._watermark <= 1.0:
             raise ValueError("admission_watermark must be in (0, 1]")
         self.model = model
         self.attention = attention
@@ -742,7 +742,7 @@ class LlmServingEngine:
         if injector is not None and injector.next_event_time is not None:
             event_at = injector.next_event_time
         deadline_at = self._next_deadline() if self._deadlines_enforced else math.inf
-        watermark = self.admission_watermark
+        watermark = self._watermark
         activity = self._activity
         j = 0  # completed steps this burst
         recorded = 0  # steps whose tokens were recorded
@@ -875,8 +875,8 @@ class LlmServingEngine:
         )
 
     def _expiring(self):
-        """``(slots, expiry)``: waiting slots still owed a first token
-        under a deadline, and their ``arrival + deadline`` times."""
+        """``(slots, arrivals, deadlines)`` of the waiting slots still
+        owed a first token under a TTFT deadline, in admission order."""
         core = self._core
         waiting = np.asarray(core.waiting_slots(), dtype=np.intp)
         deadline = core.deadline[waiting]
@@ -977,7 +977,7 @@ class LlmServingEngine:
                 skipped += 1
                 continue
             needed = core.blocks_needed(core.context_len(slot))
-            if not core.has_headroom(needed, self.admission_watermark):
+            if not core.has_headroom(needed, self._watermark):
                 break
             core.take_waiting(core.wait_head + skipped)
             core.free_blocks -= needed

@@ -218,11 +218,6 @@ class EngineCore:
     def single_tier(self) -> bool:
         return len(self.tiers_seen) <= 1
 
-    def waiting_head(self) -> Optional[int]:
-        if self.wait_head < len(self.wait_q):
-            return self.wait_q[self.wait_head]
-        return None
-
     def take_waiting(self, index: int) -> int:
         """Remove and return the waiting entry at queue ``index``."""
         if index > self.wait_head:

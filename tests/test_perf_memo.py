@@ -49,6 +49,17 @@ def _activity_tuple(activity):
     )
 
 
+@pytest.fixture
+def no_audit_sampling():
+    """Hit/miss bookkeeping tests run unaudited: under ``REPRO_AUDIT`` a
+    seeded gate turns some hits into verifying recomputes, and where
+    the gate fires depends on every cache lookup made earlier in the
+    process."""
+    with audit_scope("off"):
+        yield
+
+
+@pytest.mark.usefixtures("no_audit_sampling")
 class TestCostCache:
     def test_miss_then_hit(self):
         cache = CostCache("test.cache", maxsize=4)
@@ -138,6 +149,7 @@ class TestCostCache:
         assert registry.counter("memo.test.publish.misses").value == 1
 
 
+@pytest.mark.usefixtures("no_audit_sampling")
 class TestDeviceCacheHits:
     def test_gemm_repeats_hit(self):
         gaudi, _ = _fresh_devices()
