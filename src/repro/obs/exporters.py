@@ -3,7 +3,7 @@
 One trace schema serves every producer -- the serving engine's
 virtual-clock tracer and the compiled-graph profiler
 (:mod:`repro.tools.profiler`) both funnel through
-:func:`chrome_trace_events`, so a serving trace and an HW-trace open
+:func:`chrome_trace_json`, so a serving trace and an HW-trace open
 identically in ``chrome://tracing`` / Perfetto.
 
 Schema (the contract ``scripts/check_trace_schema.py`` validates):
@@ -18,6 +18,13 @@ Schema (the contract ``scripts/check_trace_schema.py`` validates):
 * instants are ``i`` events; requests are ``b``/``e`` async pairs
   keyed by ``id``.
 
+The document is written straight from the tracer's record lists, one
+``%``-template per event kind, byte-identical to
+``json.dumps(document, indent=1, sort_keys=True)`` over event dicts --
+without building those dicts or running ``json``'s pure-Python indent
+encoder.  :func:`chrome_trace_events` parses that output, so the
+schema is spelled in one place.
+
 All ordering is deterministic (recording order; tracks by first use),
 so same-seed runs export byte-identical documents.
 """
@@ -25,12 +32,131 @@ so same-seed runs export byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import Tracer
 
 #: Trace time unit: chrome expects microseconds.
 _US = 1e6
+
+#: ``float.__repr__`` spellings ``json`` replaces.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Event templates at the document's nesting depth (``indent=1``: an
+# event sits at depth 2, its fields at 3, its args' entries at 4).
+# Fields appear in sorted-key order.
+_DOCUMENT = '{\n "displayTimeUnit": "ms",\n "traceEvents": [\n  %s\n ]\n}'
+_EVENT_SEP = ",\n  "
+_PROCESS = '{\n   "args": %s,\n   "name": "process_name",\n   "ph": "M",\n   "pid": %s\n  }'
+_THREAD = (
+    '{\n   "args": %s,\n   "name": "thread_name",\n   "ph": "M",\n'
+    '   "pid": %s,\n   "tid": %s\n  }'
+)
+_SPAN = (
+    '{\n   "args": %s,\n   "cat": %s,\n   "dur": %s,\n   "name": %s,\n'
+    '   "ph": "X",\n   "pid": %s,\n   "tid": %s,\n   "ts": %s\n  }'
+)
+_COUNTER = (
+    '{\n   "args": {\n    "value": %s\n   },\n   "name": %s,\n   "ph": "C",\n'
+    '   "pid": %s,\n   "ts": %s\n  }'
+)
+_INSTANT = (
+    '{\n   "args": %s,\n   "cat": %s,\n   "name": %s,\n   "ph": "i",\n'
+    '   "pid": %s,\n   "s": "t",\n   "tid": %s,\n   "ts": %s\n  }'
+)
+_ASYNC = (
+    '{\n   "args": %s,\n   "cat": %s,\n   "id": %s,\n   "name": %s,\n'
+    '   "ph": %s,\n   "pid": %s,\n   "tid": %s,\n   "ts": %s\n  }'
+)
+#: Newline plus indent of an event field (depth 3).
+_FIELD_NEWLINE = "\n   "
+
+
+def _float(value: float) -> str:
+    """A float as ``json`` writes it."""
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _floats(values: List[float]) -> List[str]:
+    """:func:`_float` over a column (only non-finite reprs hold an "n")."""
+    texts = list(map(float.__repr__, values))
+    if "n" in "".join(texts):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _scalar(value: object) -> Optional[str]:
+    """A str/int/float/bool/None as ``json`` writes it, else None."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    return None
+
+
+#: Scalar writers by exact type, for the common cases.
+_SCALAR_BY_TYPE = {int: int.__repr__, float: _float, str: _str}
+
+
+def _nested(value: object) -> str:
+    """Any value as ``json.dumps(indent=1, sort_keys=True)`` writes it
+    at an event field's depth.  Newlines inside strings are escaped,
+    so re-indenting every newline is exact."""
+    return json.dumps(value, indent=1, sort_keys=True).replace("\n", _FIELD_NEWLINE)
+
+
+def _field(value: object) -> str:
+    """An event field's value (scalars are the only kind tracers emit)."""
+    if value.__class__ is str:
+        return _str(value)
+    text = _scalar(value)
+    return _nested(value) if text is None else text
+
+
+#: An args layout: the dict's ``%``-template in sorted-key order, and a
+#: getter that puts insertion-ordered value texts into that order.
+_Layout = Tuple[str, Callable[[List[str]], object]]
+
+
+def _layout(keys: Tuple[str, ...]) -> _Layout:
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    template = "{" + ",".join(
+        ["\n    %s: %%s" % _str(keys[i]).replace("%", "%%") for i in order]
+    ) + "\n   }"
+    return template, itemgetter(*order)
+
+
+def _args(args: Dict[str, object], layouts: Dict[tuple, _Layout]) -> str:
+    """An ``args`` dict: inline for str keys and scalar values, else
+    through ``json`` (nested values, non-str keys).  ``layouts`` caches
+    one template per key sequence."""
+    if not args:
+        return "{}"
+    texts = [
+        (_SCALAR_BY_TYPE.get(value.__class__) or _scalar)(value)
+        for value in args.values()
+    ]
+    if None in texts:
+        return _nested(args)
+    keys = tuple(args)
+    layout = layouts.get(keys)
+    if layout is None:
+        if not all(isinstance(key, str) for key in keys):
+            return _nested(args)
+        layout = layouts[keys] = _layout(keys)
+    template, order = layout
+    return template % order(texts)
 
 
 def _track_ids(tracer: Tracer) -> Dict[str, int]:
@@ -48,80 +174,67 @@ def _track_ids(tracer: Tracer) -> Dict[str, int]:
     return tids
 
 
-def chrome_trace_events(tracer: Tracer, pid: int = 1) -> List[Dict]:
-    """The ``traceEvents`` list for one tracer (see module docstring)."""
+def chrome_trace_json(tracer: Tracer, pid: int = 1) -> str:
+    """Serialize a tracer as a chrome://tracing JSON document (see the
+    module docstring for the schema)."""
     tids = _track_ids(tracer)
-    events: List[Dict] = [
-        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": tracer.process_name}}
+    pid_s = _field(pid)
+    cats = {category: _field(category) for category in tids}
+    tid_s = {category: _field(tid) for category, tid in tids.items()}
+    layouts: Dict[tuple, _Layout] = {}
+    events = [_PROCESS % (_args({"name": tracer.process_name}, layouts), pid_s)]
+    events += [
+        _THREAD % (_args({"name": category}, layouts), pid_s, tid_s[category])
+        for category in tids
     ]
-    for category, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": category},
-            }
+    spans = [span for span in tracer.spans if span.end is not None]
+    events += [
+        _SPAN % (
+            _args(span.args, layouts), cats[span.category], dur, _field(span.name),
+            pid_s, tid_s[span.category], ts,
         )
-    for span in tracer.spans:
-        if span.end is None:
-            continue  # open spans are not exportable intervals
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "X",
-                "pid": pid,
-                "tid": tids[span.category],
-                "ts": round(span.start * _US, 3),
-                "dur": round(span.duration * _US, 3),
-                "args": span.args,
-            }
+        for span, ts, dur in zip(
+            spans,
+            _floats([round(span.start * _US, 3) for span in spans]),
+            _floats([round((span.end - span.start) * _US, 3) for span in spans]),
         )
-    for sample in tracer.counters:
-        events.append(
-            {
-                "name": sample.name,
-                "ph": "C",
-                "pid": pid,
-                "ts": round(sample.t * _US, 3),
-                "args": {"value": sample.value},
-            }
+    ]
+    counters = tracer.counters
+    events += [
+        _COUNTER % (value, _field(sample.name), pid_s, ts)
+        for sample, value, ts in zip(
+            counters,
+            _floats([sample.value for sample in counters]),
+            _floats([round(sample.t * _US, 3) for sample in counters]),
         )
-    for instant in tracer.instants:
-        events.append(
-            {
-                "name": instant.name,
-                "cat": instant.category,
-                "ph": "i",
-                "s": "t",
-                "pid": pid,
-                "tid": tids[instant.category],
-                "ts": round(instant.t * _US, 3),
-                "args": instant.args,
-            }
+    ]
+    instants = tracer.instants
+    events += [
+        _INSTANT % (
+            _args(event.args, layouts), cats[event.category], _field(event.name),
+            pid_s, tid_s[event.category], ts,
         )
-    for half in tracer.async_events:
-        events.append(
-            {
-                "name": half.name,
-                "cat": half.category,
-                "ph": half.phase,
-                "id": half.async_id,
-                "pid": pid,
-                "tid": tids[half.category],
-                "ts": round(half.t * _US, 3),
-                "args": half.args,
-            }
+        for event, ts in zip(
+            instants, _floats([round(event.t * _US, 3) for event in instants])
         )
-    return events
+    ]
+    halves = tracer.async_events
+    events += [
+        _ASYNC % (
+            _args(half.args, layouts), cats[half.category], _field(half.async_id),
+            _field(half.name), _field(half.phase), pid_s, tid_s[half.category], ts,
+        )
+        for half, ts in zip(
+            halves, _floats([round(half.t * _US, 3) for half in halves])
+        )
+    ]
+    return _DOCUMENT % _EVENT_SEP.join(events)
 
 
-def chrome_trace_json(tracer: Tracer) -> str:
-    """Serialize a tracer as a chrome://tracing JSON document."""
-    document = {"traceEvents": chrome_trace_events(tracer), "displayTimeUnit": "ms"}
-    return json.dumps(document, indent=1, sort_keys=True)
+def chrome_trace_events(tracer: Tracer, pid: int = 1) -> List[Dict]:
+    """The ``traceEvents`` list for one tracer, parsed back from
+    :func:`chrome_trace_json`."""
+    return json.loads(chrome_trace_json(tracer, pid))["traceEvents"]
 
 
 def flat_json(tracer: Tracer) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.audit import ConfigError, Watchdog, WatchdogExceeded, get_auditor
 from repro.hw.power import ActivityAccumulator, PowerModel
-from repro.models.llama import DecodeAttention, DecodeBatchStats, LlamaCostModel
+from repro.models.llama import DecodeAttention, LlamaCostModel
 from repro.models.tensor_parallel import CommEvent
 from repro.serving.engine_core import (
     SLOT_FINISHED,
@@ -690,9 +690,9 @@ class LlmServingEngine:
         (drawn once per decode step, in order), and the horizon.  An
         observed run (``step_activity`` given) prices exactly one step
         per burst, so per-step spans and metrics come out of the outer
-        loop.  Step costs come from ``LlamaCostModel.decode_stepper``,
-        whose integer recurrences are bit-identical to pricing a
-        ``DecodeBatchStats`` per step.
+        loop.  Every step, observed or not, is priced by
+        ``LlamaCostModel.decode_stepper``, whose integer recurrences are
+        bit-identical to pricing a ``DecodeBatchStats`` per step.
         """
         core = self._core
         injector = self.injector
@@ -726,9 +726,7 @@ class LlmServingEngine:
                 if bs == 128
                 else np.bincount((ctx0 % bs).astype(np.int64), minlength=bs)
             )
-        stepper = None if step_activity is not None else (
-            self.model.decode_stepper(n, self.attention)
-        )
+        stepper = self.model.decode_stepper(n, self.attention)
         # Events between steps, fixed for the burst.
         room = n < self.max_decode_batch
         candidate, arrival_at = (
@@ -744,25 +742,37 @@ class LlmServingEngine:
         deadline_at = self._next_deadline() if self._deadlines_enforced else math.inf
         watermark = self._watermark
         activity = self._activity
+        tracer = self._tracer
         j = 0  # completed steps this burst
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
         while True:
             step_start = now
-            if stepper is not None:
+            if step_activity is None:
                 now += stepper(total_context, total_blocks, max_context, activity) * slowdown
             else:
-                now = self._observed_decode(
-                    n, total_context, total_blocks, max_context, now, slowdown,
-                    step_activity,
-                )
+                # An observed step prices into its own accumulator (the
+                # step's power sample) under a ``decode.step`` span,
+                # with the collectives the step's batch size priced.
+                decode_span = None
+                if tracer is not None:
+                    decode_span = tracer.begin("decode.step", "engine", now, batch=n)
+                decode_activity = ActivityAccumulator()
+                now += stepper(
+                    total_context, total_blocks, max_context, decode_activity
+                ) * slowdown
+                activity.merge(decode_activity)
+                step_activity.merge(decode_activity)
+                self._observe_collectives(self.model._decode_terms(n)[1], now)
+                if decode_span is not None:
+                    tracer.end(decode_span, now)
             j += 1
             if injector is not None and injector.kernel_fault():
                 # Transient kernel failure: the step's output is lost
                 # and recomputed next iteration; the time still passed.
                 self.fault_stats.kernel_retries += 1
-                if self._tracer is not None:
-                    self._tracer.instant("kernel_fault", "engine", now)
+                if tracer is not None:
+                    tracer.instant("kernel_fault", "engine", now)
                 if self._metrics is not None:
                     self._metrics.counter("engine.kernel_retries").inc()
                 break
@@ -821,35 +831,6 @@ class LlmServingEngine:
             core.state[done] = SLOT_FINISHED
             core.finish[done] = now
             core.finished_pending.extend(int(s) for s in done)
-        return now
-
-    def _observed_decode(
-        self,
-        n: int,
-        total_context: int,
-        total_blocks: int,
-        max_context: int,
-        now: float,
-        slowdown: float,
-        step_activity: ActivityAccumulator,
-    ) -> float:
-        """One observed decode step: priced through
-        ``decode_step_stats`` (bit-identical to the stepper) for the
-        collectives it carries, under a ``decode.step`` span."""
-        tracer = self._tracer
-        decode_span = None
-        if tracer is not None:
-            decode_span = tracer.begin("decode.step", "engine", now, batch=n)
-        phase = self.model.decode_step_stats(
-            DecodeBatchStats(n, total_context, total_blocks, max_context),
-            self.attention,
-        )
-        now += phase.time * slowdown
-        self._activity.merge(phase.activity)
-        step_activity.merge(phase.activity)
-        self._observe_collectives(phase.collectives, now)
-        if decode_span is not None:
-            tracer.end(decode_span, now)
         return now
 
     def _admission_watch(self, now: float):

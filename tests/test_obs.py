@@ -1,8 +1,11 @@
 """Unit tests for the observability layer (repro.obs)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_TRACER,
@@ -153,6 +156,169 @@ class TestExporters:
         summary = text_summary(self._tracer())
         assert "engine" in summary and "kv" in summary
         assert "hottest spans" in summary
+
+
+def oracle_events(tracer: Tracer, pid: int = 1) -> list:
+    """The trace schema as event dicts: the reference the template
+    writer in ``repro.obs.exporters`` must reproduce byte for byte."""
+    tids: dict = {}
+    for record in (*tracer.spans, *tracer.instants, *tracer.async_events):
+        tids.setdefault(record.category, len(tids) + 1)
+    events = [
+        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": tracer.process_name}}
+    ]
+    for category, tid in tids.items():
+        events.append(
+            {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": category}}
+        )
+    for span in tracer.spans:
+        if span.end is None:
+            continue
+        events.append({
+            "name": span.name, "cat": span.category, "ph": "X", "pid": pid,
+            "tid": tids[span.category], "ts": round(span.start * 1e6, 3),
+            "dur": round(span.duration * 1e6, 3), "args": span.args,
+        })
+    for sample in tracer.counters:
+        events.append({
+            "name": sample.name, "ph": "C", "pid": pid,
+            "ts": round(sample.t * 1e6, 3), "args": {"value": sample.value},
+        })
+    for instant in tracer.instants:
+        events.append({
+            "name": instant.name, "cat": instant.category, "ph": "i", "s": "t",
+            "pid": pid, "tid": tids[instant.category],
+            "ts": round(instant.t * 1e6, 3), "args": instant.args,
+        })
+    for half in tracer.async_events:
+        events.append({
+            "name": half.name, "cat": half.category, "ph": half.phase,
+            "id": half.async_id, "pid": pid, "tid": tids[half.category],
+            "ts": round(half.t * 1e6, 3), "args": half.args,
+        })
+    return events
+
+
+def oracle_json(tracer: Tracer, pid: int = 1) -> str:
+    document = {"traceEvents": oracle_events(tracer, pid), "displayTimeUnit": "ms"}
+    return json.dumps(document, indent=1, sort_keys=True)
+
+
+def _nan_as_text(value):
+    """``value`` with NaN floats replaced (NaN never equals itself)."""
+    if isinstance(value, float) and math.isnan(value):
+        return "NaN"
+    if isinstance(value, dict):
+        return {key: _nan_as_text(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_nan_as_text(item) for item in value]
+    return value
+
+
+_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f%é€\u2028😀'), st.characters()),
+    max_size=6,
+)
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+)
+_scalars = st.one_of(_text, st.integers(), st.booleans(), st.none(), _floats)
+_values = st.one_of(
+    _scalars,
+    st.recursive(
+        _scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+_args = st.dictionaries(_text, _values, max_size=4)
+_times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_records = st.lists(
+    st.one_of(
+        st.tuples(st.just("span"), _text, _text, _times, _times, _args),
+        st.tuples(st.just("open"), _text, _text, _times, _args),
+        st.tuples(st.just("counter"), _text, _times, _floats),
+        st.tuples(st.just("instant"), _text, _text, _times, _args),
+        st.tuples(st.just("async"), _text, _text, _times, st.integers(), _args),
+    ),
+    max_size=12,
+)
+
+
+def _build_tracer(process_name: str, records) -> Tracer:
+    tracer = Tracer(process_name)
+    for kind, *fields in records:
+        if kind == "span":
+            name, category, start, length, args = fields
+            tracer.record(name, category, start, start + length, **args)
+        elif kind == "open":
+            name, category, start, args = fields
+            tracer.begin(name, category, start, **args)
+        elif kind == "counter":
+            tracer.counter(*fields)
+        elif kind == "instant":
+            name, category, t, args = fields
+            tracer.instant(name, category, t, **args)
+        else:
+            name, category, t, async_id, args = fields
+            tracer.async_begin(name, category, t, async_id, **args)
+            tracer.async_end(name, category, t, async_id, **args)
+    return tracer
+
+
+class TestChromeTraceWriter:
+    """The template writer equals ``json.dumps`` over event dicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_text, _records, st.integers(min_value=-(2**40), max_value=2**40))
+    def test_matches_the_dict_oracle(self, process_name, records, pid):
+        tracer = _build_tracer(process_name, records)
+        assert chrome_trace_json(tracer, pid) == oracle_json(tracer, pid)
+        assert _nan_as_text(chrome_trace_events(tracer, pid)) == _nan_as_text(
+            oracle_events(tracer, pid)
+        )
+
+    def test_default_pid_is_one(self):
+        tracer = TestExporters()._tracer()
+        assert chrome_trace_json(tracer) == oracle_json(tracer, 1)
+
+    def test_non_str_keys_and_tuples_take_the_json_fallback(self):
+        tracer = Tracer()
+        tracer.record("s", "c", 0.0, 1.0, shape=(2, 3))
+        tracer.record("t", "c", 0.0, 1.0).args.update({7: "int", 3: [1.5, {"b": 1, "a": 2}]})
+        tracer.instant("mark", "c", 0.5, empty={}, nested={"z": [], "y": "\n"})
+        assert chrome_trace_json(tracer) == oracle_json(tracer)
+        tracer.spans[0].args[None] = 1  # unsortable keys fail as in json
+        with pytest.raises(TypeError):
+            oracle_json(tracer)
+        with pytest.raises(TypeError):
+            chrome_trace_json(tracer)
+
+    def test_profiler_document(self):
+        from repro.graph import Engine, Graph, GraphCompiler
+        from repro.tools import GaudiProfiler, chrome_trace
+        from repro.tools.profiler import profile_tracer
+
+        graph = Graph("layer")
+        gemm = graph.add_op("gemm", Engine.MME, 100e-6, 1e6, 1e6, sliceable=True)
+        graph.add_op("act", Engine.TPC, 40e-6, 1e6, 1e6, inputs=[gemm],
+                     fusable=True, sliceable=True)
+        report = GaudiProfiler().profile(GraphCompiler().compile(graph))
+        assert chrome_trace(report) == oracle_json(profile_tracer(report, "Gaudi-2"))
+
+    def test_serving_run_document(self):
+        from repro.api import RunContext
+        from repro.hw.device import get_device
+        from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
+        from repro.serving import LlmServingEngine, dynamic_sonnet_requests
+
+        ctx = RunContext.create(seed=0, device="gaudi2")
+        engine = LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")), max_decode_batch=4, ctx=ctx
+        )
+        engine.run(dynamic_sonnet_requests(6, seed=2))
+        assert chrome_trace_json(ctx.tracer) == oracle_json(ctx.tracer)
 
 
 class TestMetrics:
