@@ -17,6 +17,7 @@ from typing import Iterator, List
 
 import numpy as np
 
+from repro.audit.errors import ConfigError
 from repro.serving.request import Request
 
 #: Length statistics approximating the Dynamic-Sonnet Llama-3 dataset:
@@ -35,7 +36,7 @@ def fixed_length_requests(
 ) -> List[Request]:
     """Uniform-shape requests, all arriving at time zero."""
     if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
+        raise ConfigError("num_requests must be positive")
     return [
         Request(request_id=i, input_tokens=input_len, output_tokens=output_len)
         for i in range(num_requests)
@@ -45,7 +46,7 @@ def fixed_length_requests(
 def dynamic_sonnet_requests(num_requests: int, seed: int = 0) -> List[Request]:
     """Variable-length requests with Dynamic-Sonnet-like statistics."""
     if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
+        raise ConfigError("num_requests must be positive")
     rng = np.random.default_rng(seed)
     inputs = np.exp(
         rng.normal(np.log(_SONNET_INPUT_MEDIAN), _SONNET_INPUT_SIGMA, num_requests)
@@ -83,7 +84,7 @@ def iter_dynamic_sonnet_requests(
     matched, not request-for-request identical.
     """
     if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
+        raise ConfigError("num_requests must be positive")
     chunk = _STREAM_CHUNK
     root = np.random.SeedSequence(seed)
     next_id = 0

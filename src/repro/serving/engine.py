@@ -66,9 +66,9 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+            raise ConfigError("checkpoint_interval must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+            raise ConfigError("deadline must be positive")
 
 
 @dataclass
@@ -268,14 +268,14 @@ class LlmServingEngine:
         differences from the retained path) and the run is excluded from
         byte-golden comparisons."""
         if max_decode_batch <= 0:
-            raise ValueError("max_decode_batch must be positive")
+            raise ConfigError("max_decode_batch must be positive")
         if num_kv_blocks is None:
             num_kv_blocks = max(1, model.max_kv_tokens() // block_size)
         if num_kv_blocks <= 0 or block_size <= 0:
-            raise ValueError("num_kv_blocks and block_size must be positive")
+            raise ConfigError("num_kv_blocks and block_size must be positive")
         self._watermark = policy.admission_watermark if policy else 1.0
         if not 0.0 < self._watermark <= 1.0:
-            raise ValueError("admission_watermark must be in (0, 1]")
+            raise ConfigError("admission_watermark must be in (0, 1]")
         self.model = model
         self.attention = attention
         self.max_decode_batch = max_decode_batch

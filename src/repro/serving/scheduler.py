@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.audit.errors import ConfigError
 from repro.serving.kv_cache import BlockManager, KvCacheError
 from repro.serving.request import Request, RequestState
 
@@ -70,9 +71,9 @@ class ContinuousBatchingScheduler:
         admission_watermark: float = 1.0,
     ) -> None:
         if max_decode_batch <= 0:
-            raise ValueError("max_decode_batch must be positive")
+            raise ConfigError("max_decode_batch must be positive")
         if not 0.0 < admission_watermark <= 1.0:
-            raise ValueError("admission_watermark must be in (0, 1]")
+            raise ConfigError("admission_watermark must be in (0, 1]")
         self.block_manager = block_manager
         self.max_decode_batch = max_decode_batch
         self.admission_watermark = admission_watermark

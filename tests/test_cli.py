@@ -69,6 +69,11 @@ class TestTypedErrors:
         ["chaos", "--tp", "4", "--fail-device", "1@t=nan"],
         ["chaos", "--tp", "4", "--degrade-link", "5-6@t=0,factor=0.1"],
         ["chaos", "--flap-link", "0-1@t=1,period=0.5,cycles=1.5"],
+        ["serve", "--max-batch", "0"],
+        ["serve", "--requests", "-5"],
+        ["trace", "--requests", "0"],
+        ["top", "--requests", "0"],
+        ["top", "--max-batch", "0"],
     ])
     def test_config_error_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2
