@@ -293,6 +293,9 @@ class LlmServingEngine:
         self._tracer = None
         self._metrics = None
         self._traced_request_ids: set = set()
+        #: ``(request_id, state, generated)`` of traced requests folded
+        #: in release mode, whose async spans close at :meth:`finish`.
+        self._folded_traces: List[tuple] = []
         # Run state (see begin/feed/advance/finish).
         self._core = EngineCore(num_kv_blocks, block_size)
         self._aggregates: Optional[ReportAggregates] = None
@@ -499,9 +502,20 @@ class LlmServingEngine:
         core.acquire(request)
 
     def _fold_terminal(self, request: Request) -> None:
-        """Retirement hook for ``retain_requests=False`` runs."""
-        if self._aggregates is not None:
-            self._aggregates.fold_terminal(request)
+        """Retirement hook for ``retain_requests=False`` runs: fold the
+        request into the aggregates, observe its latencies, and keep
+        what its request span needs to close at :meth:`finish`."""
+        if self._aggregates is None:
+            return
+        self._aggregates.fold_terminal(request)
+        if self._metrics is not None and request.state is RequestState.FINISHED:
+            self._metrics.histogram("request.ttft").observe(request.ttft)
+            self._metrics.histogram("request.tpot").observe(request.tpot)
+        if request.request_id in self._traced_request_ids:
+            self._traced_request_ids.discard(request.request_id)
+            self._folded_traces.append(
+                (request.request_id, request.state.value, request.generated)
+            )
 
     @property
     def now(self) -> float:
@@ -1369,6 +1383,22 @@ class LlmServingEngine:
         agg = self._aggregates
         core = self._core
         live = core.live_slots()
+        if self._tracer is not None:
+            # Close every traced request's span at the final clock, as
+            # the retained path does: folded ones first, in retirement
+            # order, then the still-scheduled ones.
+            ends = self._folded_traces + [
+                (request.request_id, request.state.value, request.generated)
+                for request in (core.objs[slot] for slot in live)
+                if request.request_id in self._traced_request_ids
+            ]
+            for request_id, state, generated in ends:
+                self._tracer.async_end(
+                    f"request-{request_id}", "request", now, request_id,
+                    state=state, generated=generated,
+                )
+            self._folded_traces = []
+            self._traced_request_ids.clear()
         live_tokens = core.live_generated_total()
         live_retried = sum(1 for slot in live if core.retries[slot] > 0)
         finished = agg.finished

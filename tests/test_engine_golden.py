@@ -315,7 +315,7 @@ GOLDEN: Dict[str, str] = {
     "fleet_diurnal_toy": "a574a6772c87bf76ba8cc17d898d7fbc379b39661cf3cbfb600ba19f56dee2f0",
     "fleet_overload_chaos": "f2824ca77ef3b923022bb9510a79d213dad8024921967abd02838a14f88cfaa0",
     "fleet_overload_chaos_observed": "adb48e255f3a7271ba2802e08b256daf7248ed4b17e5e3441730784c3db65c26",
-    "observed_release_stream": "8e5dd4f46863c6dd3cbfef01e0fbf76548e4cf2f528c3e2e9ba44bcd30a81458",
+    "observed_release_stream": "12c4f479440e2915558907c50ef16f254f80ea0cd1d498ffb93f057938d67e90",
     "policy_tiny_pool": "ae16ef4f42bfb118351278a3ec6f4ed182327b550a9ee12c1b27ec32013cd641",
     "resilient_load_point": "4b194085bc3dd8aff2fa62618b352db39b394daddce0386d6a46384c73b4f78c",
     "tiered_policy": "002cd9fa36d2aa72db604e52f38719b8368f23d2f682724f0c5ac9439912ca16",

@@ -91,6 +91,29 @@ class TestGoldenTrace:
             (e["name"], e["id"]) for e in ends
         }
 
+    def test_release_mode_trace_closes_every_request(self):
+        """A streamed ``retain_requests=False`` run closes each request
+        span at the final clock and observes each finished request's
+        latencies, as the retained path does."""
+        from repro.serving import dynamic_sonnet_requests
+        from repro.serving.loadgen import poisson_arrivals
+
+        ctx = RunContext.create(seed=0, device="gaudi2")
+        engine = LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, Gaudi2Device()),
+            max_decode_batch=8, retain_requests=False, ctx=ctx,
+        )
+        arrivals = poisson_arrivals(dynamic_sonnet_requests(24, seed=3), 11.0, seed=3)
+        report = engine.run(iter(arrivals))
+        document = json.loads(ctx.chrome_trace())
+        assert _load_checker().check_trace(document, require_layers=False) == []
+        ends = [e for e in document["traceEvents"] if e["ph"] == "e"]
+        assert len(ends) == 24
+        assert {e["ts"] for e in ends} == {round(report.total_time * 1e6, 3)}
+        assert sum(e["args"]["generated"] for e in ends) == report.total_output_tokens
+        for name in ("request.ttft", "request.tpot"):
+            assert ctx.metrics.histogram(name).count == report.finished_requests
+
     def test_no_open_spans_after_run(self):
         assert _traced_run().tracer.open_spans == 0
 
