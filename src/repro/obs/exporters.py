@@ -118,8 +118,6 @@ def _nested(value: object) -> str:
 
 def _field(value: object) -> str:
     """An event field's value (scalars are the only kind tracers emit)."""
-    if value.__class__ is str:
-        return _str(value)
     text = _scalar(value)
     return _nested(value) if text is None else text
 
