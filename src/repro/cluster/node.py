@@ -193,6 +193,8 @@ class Node:
         self.upgrades = 0
         self.attempts_fed = 0
         self.inflight: List[Request] = []
+        #: ``engine.terminal_count`` at the last reap scan.
+        self._reaped_terminal = 0
         #: EWMA of recent attempt TTFTs (latency-aware routing input).
         self.latency_estimate = 0.0
         self._began = False
@@ -318,7 +320,17 @@ class Node:
         return self.engine.advance(horizon)
 
     def reap(self) -> List[Request]:
-        """Pop attempts that reached a terminal state since last reap."""
+        """Pop attempts that reached a terminal state since last reap,
+        in feed order.
+
+        Attempts turn terminal only inside the engine, which counts
+        every such transition, so an unchanged count means there is
+        nothing to pop; a draining node still scans to retire once
+        idle."""
+        terminal = self.engine.terminal_count
+        if terminal == self._reaped_terminal and not self.draining:
+            return []
+        self._reaped_terminal = terminal
         done: List[Request] = []
         still: List[Request] = []
         for request in self.inflight:

@@ -13,10 +13,12 @@ live Python objects every virtual step:
   any per-request object;
 * the thin ``Request`` objects remain the API boundary: lifecycle
   transitions (admission, preemption, retry, shed, failure, finish)
-  fire on them as they happen, and ``advance()`` exit copies every live
-  slot's progress back, so reports, journaling, fleet polling and
-  audit transitions see per-request state exactly as the engine
-  defines it.
+  fire on them as they happen, the event-set fields (first-token time,
+  checkpoint) are written through to them when the engine sets them,
+  and ``advance()`` exit copies only what a decode burst can leave
+  stale -- running slots' ``generated`` -- and materializes pending
+  finishes, so reports, journaling, fleet polling and audit
+  transitions see per-request state exactly as the engine defines it.
 
 The module also owns the process-wide engine counters surfaced by
 ``repro top`` and :class:`ReportAggregates`, the constant-memory
@@ -110,14 +112,14 @@ class EngineCore:
     __slots__ = (
         "block_size", "num_blocks", "free_blocks",
         "capacity", "input_tokens", "output_tokens", "generated",
-        "arrival", "first_token", "finish", "restarts", "retries",
+        "arrival", "first_token", "finish", "retries",
         "tier", "checkpoint", "deadline",
         "state", "objs", "free_slots", "wait_q", "wait_head", "tiers_seen",
         "run_slots", "finished_pending", "slot_high_water",
     )
 
-    _INT_COLUMNS = ("input_tokens", "output_tokens", "generated", "restarts",
-                    "retries", "tier", "checkpoint")
+    _INT_COLUMNS = ("input_tokens", "output_tokens", "generated", "retries",
+                    "tier", "checkpoint")
     _NAN_COLUMNS = ("first_token", "finish", "deadline")
 
     def __init__(self, num_blocks: int, block_size: int, capacity: int = 64) -> None:
@@ -302,18 +304,17 @@ class EngineCore:
         self.first_token[slot] = (
             np.nan if request.first_token_time is None else request.first_token_time
         )
-        self.restarts[slot] = request.restarts
         self.retries[slot] = request.retries
         self.checkpoint[slot] = request.checkpoint
 
     def sync_object(self, slot: int) -> Request:
-        """Copy a live slot's progress onto its Request (no transition)."""
+        """Copy a live slot's progress onto its Request (no transition).
+
+        Only ``generated`` can be stale: the engine writes the first
+        token time and checkpoint through to the object when it sets
+        them, and never changes ``restarts`` (the object owns it)."""
         request = self.objs[slot]
         request.generated = int(self.generated[slot])
-        first = self.first_token[slot]
-        request.first_token_time = None if math.isnan(first) else float(first)
-        request.restarts = int(self.restarts[slot])
-        request.checkpoint = int(self.checkpoint[slot])
         return request
 
     def materialize_finished(self, slot: int) -> Request:
@@ -327,17 +328,25 @@ class EngineCore:
             request._transition(RequestState.FINISHED)
         return request
 
-    def sync_live_objects(self) -> None:
-        """Copy every live slot back onto its Request -- called at
-        ``advance()`` exit so external observers (a fleet node polling
-        ``request.state``) never see stale state."""
-        for slot in self.run_slots:
-            if self.state[slot] == SLOT_FINISHED:
+    def sync_live_objects(self) -> int:
+        """Bring every live Request up to date -- called at ``advance()``
+        exit so external observers (a fleet node polling
+        ``request.state``) never see stale state; returns how many
+        requests turned FINISHED.
+
+        Only running slots can be stale: pending finishes are
+        materialized and ``generated`` is copied in one pass.  Waiting
+        slots are current by construction -- feed, preemption and
+        deadline resubmission change the object, then :meth:`load` it."""
+        finished = 0
+        for slot in self.finished_pending:
+            if self.objs[slot].state is not RequestState.FINISHED:
                 self.materialize_finished(slot)
-            else:
-                self.sync_object(slot)
-        for slot in self.waiting_slots():
-            self.sync_object(slot)
+                finished += 1
+        run, objs = self.run_slots, self.objs
+        for slot, generated in zip(run, self.generated[run].tolist()):
+            objs[slot].generated = generated
+        return finished
 
     # -- aggregate views ------------------------------------------------
     @property

@@ -169,6 +169,129 @@ class TestNodeHealth:
         assert node.inflight == []
 
 
+class _NoScan(list):
+    """An in-flight list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("reap scanned the in-flight attempts")
+
+
+class TestNodeReap:
+    """``reap`` pops terminal attempts in feed order, and skips the scan
+    while no attempt has turned terminal since the last one."""
+
+    def _node(self, **kwargs):
+        node = Node("n0", NodeClass(name="gaudi2", device="gaudi2", tp=2, **kwargs))
+        node.begin()
+        return node
+
+    @staticmethod
+    def _request(request_id, output_tokens=8, input_tokens=64):
+        return Request(
+            request_id=request_id, input_tokens=input_tokens,
+            output_tokens=output_tokens, arrival_time=0.0,
+        )
+
+    @staticmethod
+    def _ids(requests):
+        return [r.request_id for r in requests]
+
+    def test_reaps_attempt_shed_inside_feed(self):
+        node = self._node(num_kv_blocks=4)
+        request = self._request(0, input_tokens=128 * 4 + 1)
+        node.feed(request)
+        assert request.state is RequestState.SHED
+        assert node.reap() == [request]
+        assert node.inflight == []
+
+    def test_reaps_cancelled_attempt(self):
+        node = self._node()
+        keep, cancel = self._request(0, 64), self._request(1, 64)
+        node.feed(keep)
+        node.feed(cancel)
+        node.advance_to(0.01)
+        assert node.cancel(cancel, "timeout: test")
+        assert self._ids(node.reap()) == [1]
+        assert self._ids(node.inflight) == [0]
+
+    def test_cancel_racing_a_completion_is_reaped_once(self):
+        node = self._node()
+        request = self._request(0, output_tokens=4)
+        node.feed(request)
+        node.advance_to(math.inf)
+        # The completion outran the gateway's cancel.
+        assert not node.cancel(request, "timeout: test")
+        assert node.reap() == [request]
+        assert request.state is RequestState.FINISHED
+        assert node.reap() == []
+
+    def test_crash_victims_then_rejoin(self):
+        node = self._node()
+        first = self._request(0, output_tokens=64)
+        node.feed(first)
+        node.advance_to(0.01)
+        assert node.crash() == [first]
+        assert first.state is RequestState.FAILED
+        assert node.reap() == []  # the crash handed its victims over
+        node.begin_recovery()
+        node.warm()
+        second = self._request(1, output_tokens=4)
+        node.feed(second)
+        node.advance_to(math.inf)
+        assert node.reap() == [second]
+        assert second.state is RequestState.FINISHED
+
+    def test_draining_node_retires_once_idle(self):
+        node = self._node()
+        request = self._request(0, output_tokens=4)
+        node.feed(request)
+        node.advance_to(math.inf)
+        assert node.reap() == [request]
+        node.drain()
+        # Nothing turned terminal since the last reap, but a draining
+        # node still scans, finds itself idle, and retires.
+        assert node.reap() == []
+        assert node.retired
+
+    def test_no_terminal_transition_skips_the_scan(self):
+        node = self._node()
+        node.feed(self._request(0, output_tokens=64))
+        node.feed(self._request(1, output_tokens=64))
+        node.advance_to(0.005)
+        node.reap()
+        count = node.engine.terminal_count
+        node.inflight = _NoScan(node.inflight)
+        node.advance_to(0.01)
+        assert node.engine.terminal_count == count
+        assert node.reap() == []
+
+    def test_every_terminal_attempt_is_reaped_at_once(self):
+        node = self._node()
+        for i, n in enumerate((40, 2, 20, 6, 1, 12)):
+            node.feed(self._request(i, output_tokens=n))
+        horizon = 0.0
+        while node.inflight:
+            horizon += 0.003
+            node.advance_to(horizon)
+            node.reap()
+            assert all(
+                r.state in (RequestState.WAITING, RequestState.RUNNING)
+                for r in node.inflight
+            )
+
+    def test_reap_order_is_feed_order(self):
+        node = self._node()
+        requests = [
+            self._request(i, output_tokens=n) for i, n in enumerate((40, 2, 20, 6))
+        ]
+        for request in requests:
+            node.feed(request)
+        node.advance_to(math.inf)
+        finish_order = sorted(requests, key=lambda r: r.finish_time)
+        assert self._ids(finish_order) == [1, 3, 2, 0]
+        assert self._ids(node.reap()) == [0, 1, 2, 3]
+
+
 class TestGatewayRouting:
     def _gateway(self, policy, n=3):
         gateway = Gateway(policy)

@@ -11,6 +11,7 @@ of release-mode streaming runs.
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import ConfigError, audit_scope
+from repro.faults import FaultInjector, FaultPlan
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
     LlmServingEngine,
@@ -27,13 +29,15 @@ from repro.serving import (
     iter_dynamic_sonnet_requests,
 )
 from repro.serving.engine_core import (
+    SLOT_FINISHED,
+    SLOT_RUNNING,
     EngineCore,
     counters_snapshot,
     render_counters,
     reset_counters,
 )
 from repro.serving.loadgen import poisson_arrivals
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestState, RetryPolicy
 
 
 def _engine(device, attention=DecodeAttention.PAGED_OPT, **kwargs):
@@ -229,6 +233,115 @@ class TestLifecycleOperations:
         engine.cancel(alive[-1], "timeout: test")
         engine.advance()
         assert _sha(_states(requests)) == PINNED["cancel"]
+
+
+class TestLiveObjectFidelity:
+    """After every ``advance()`` each live request object reads exactly
+    what a full copy of its slot would write, though the engine only
+    writes through at events and syncs ``generated`` on exit."""
+
+    @staticmethod
+    def _expected(core, slot, restarts_at_load):
+        """The full per-slot sync: every column the core tracks, with
+        ``restarts`` as it was when the slot was last loaded."""
+        first = core.first_token[slot]
+        if core.state[slot] == SLOT_FINISHED:
+            state = RequestState.FINISHED
+        elif core.state[slot] == SLOT_RUNNING:
+            state = RequestState.RUNNING
+        else:
+            state = RequestState.WAITING
+        return (
+            int(core.generated[slot]),
+            None if math.isnan(first) else float(first),
+            int(core.checkpoint[slot]),
+            restarts_at_load[slot],
+            state,
+        )
+
+    def _check_objects(self, core, requests, restarts_at_load):
+        live = {id(core.objs[slot]): slot for slot in core.live_slots()}
+        for request in requests:
+            slot = live.get(id(request))
+            if slot is None:
+                assert request.state in (
+                    RequestState.FINISHED, RequestState.SHED, RequestState.FAILED,
+                )
+                continue
+            actual = (
+                request.generated, request.first_token_time,
+                request.checkpoint, request.restarts, request.state,
+            )
+            assert actual == self._expected(core, slot, restarts_at_load)
+        for slot in core.finished_pending:
+            assert core.objs[slot].state is RequestState.FINISHED
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        count=st.integers(min_value=1, max_value=24),
+        horizons=st.lists(
+            st.floats(min_value=0.001, max_value=0.4), min_size=1, max_size=12
+        ),
+        interval=st.integers(min_value=1, max_value=16),
+        deadline=st.sampled_from([None, 0.05, 0.3]),
+        max_retries=st.integers(min_value=0, max_value=2),
+        failures=st.lists(
+            st.floats(min_value=0.0, max_value=2.0), max_size=3
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_objects_match_full_sync(
+        self, gaudi, seed, count, horizons, interval, deadline,
+        max_retries, failures,
+    ):
+        gen = np.random.default_rng(seed)
+        requests = []
+        clock = 0.0
+        for i in range(count):
+            clock += float(gen.exponential(0.03))
+            requests.append(Request(
+                request_id=i,
+                input_tokens=int(gen.integers(16, 600)),
+                output_tokens=int(gen.integers(1, 80)),
+                arrival_time=clock,
+                tier=int(gen.integers(0, 3)),
+            ))
+        plan = FaultPlan()
+        for index, at in enumerate(failures):
+            plan.fail_device(index, at=at, recover_at=at + 0.2)
+        engine = _engine(
+            gaudi,
+            max_decode_batch=8,
+            num_kv_blocks=96,
+            policy=ResiliencePolicy(
+                deadline=deadline,
+                retry=RetryPolicy(max_retries=max_retries, backoff_base=0.05),
+                checkpoint_interval=interval,
+            ),
+            injector=FaultInjector(plan, num_devices=8),
+        )
+        # The object owns ``restarts``; the full sync copied back the
+        # value the slot was last loaded with.
+        restarts_at_load = {}
+        load = EngineCore.load
+
+        def recording_load(core, slot):
+            load(core, slot)
+            restarts_at_load[slot] = core.objs[slot].restarts
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EngineCore, "load", recording_load)
+            engine.begin(requests)
+            horizon = 0.0
+            for step in horizons:
+                horizon += step
+                engine.advance(horizon)
+                self._check_objects(engine._core, requests, restarts_at_load)
+            engine.advance()
+        assert all(
+            r.state in (RequestState.FINISHED, RequestState.SHED, RequestState.FAILED)
+            for r in requests
+        )
 
 
 class TestCounters:
