@@ -27,6 +27,7 @@ chaos included.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -275,6 +276,8 @@ class _FleetRun:
         self.heap: List[Tuple[float, int, str, object]] = []
         self._seq = 0
         self.requests: List[FleetRequest] = []
+        #: Sorted arrival times of ``requests`` (``admitted_so_far``).
+        self._arrival_times: List[float] = []
         #: attempt id -> (fleet id, node name at dispatch)
         self.attempt_map: Dict[int, Tuple[int, str]] = {}
         self.terminal_count = 0
@@ -393,6 +396,7 @@ class _FleetRun:
                 fleet_request.ttft_slo = spec.ttft_slo
             self.requests.append(fleet_request)
             self.push(shape.arrival_time, "arrival", fleet_request.fleet_id)
+        self._arrival_times = sorted(r.arrival_time for r in self.requests)
         for event in config.plan.scheduled():
             self.push(event.time, "fault", event)
         self.push(config.probe_interval, "probe")
@@ -421,7 +425,7 @@ class _FleetRun:
 
     @property
     def admitted_so_far(self) -> int:
-        return sum(1 for r in self.requests if r.arrival_time <= self.now)
+        return bisect.bisect_right(self._arrival_times, self.now)
 
     def _observe_attempt(self, node: Node, attempt: Request) -> None:
         fleet_id, _ = self.attempt_map[attempt.request_id]
