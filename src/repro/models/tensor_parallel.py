@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.audit import get_auditor
+from repro.audit import ConfigError, get_auditor
 from repro.comm import CollectiveLibrary
 from repro.hw.device import Device
 
@@ -53,7 +53,7 @@ class TensorParallelConfig:
     def shard(self, size: int, what: str = "dimension") -> int:
         """Split a sharded dimension, validating divisibility."""
         if size % self.degree != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"{what} of {size} not divisible by TP degree {self.degree}"
             )
         return size // self.degree

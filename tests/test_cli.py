@@ -74,6 +74,11 @@ class TestTypedErrors:
         ["trace", "--requests", "0"],
         ["top", "--requests", "0"],
         ["top", "--max-batch", "0"],
+        ["serve", "--tp", "3"],
+        ["trace", "--tp", "3"],
+        ["top", "--tp", "3"],
+        ["chaos", "--tp", "3"],
+        ["fleet", "--tp", "3"],
     ])
     def test_config_error_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2
