@@ -233,6 +233,24 @@ def _sweep_surrogate(fast: bool) -> None:
     design_space_sweep(_BENCH_BACKEND, fast=fast)
 
 
+def _gemm_grid_exact(_fast: bool) -> None:
+    """The exact fig07-style GEMM grid, priced in one batched call.
+
+    308,025 shapes (``per_octave=64``) in both modes: the 25,600-shape
+    ``per_octave=16`` grid takes a few milliseconds, under the gate floor.
+    """
+    from repro.surrogate.sweep import gemm_grid_sweep
+
+    gemm_grid_sweep(_BENCH_BACKEND, per_octave=64, exact=True)
+
+
+def _fig08_stream(_fast: bool) -> None:
+    from repro.figures import run_figure
+
+    # Full grid in both modes: the STREAM suite's TPC scoreboard runs.
+    run_figure(figure_id="fig08", fast=False)
+
+
 def _reproduce_full(_fast: bool) -> None:
     from repro.figures import generate_all
 
@@ -252,6 +270,10 @@ CASES: List[BenchCase] = [
               _serve_overload),
     BenchCase("sweep_surrogate", "surrogate-speed design-space sweeps",
               _sweep_surrogate),
+    BenchCase("gemm_grid_exact", "exact batched fig07-style GEMM grid",
+              _gemm_grid_exact),
+    BenchCase("fig08_stream", "Figure 8 STREAM suite (TPC scoreboard)",
+              _fig08_stream),
     BenchCase("reproduce_full", "generate_all(fast=False)", _reproduce_full,
               in_fast_mode=False),
 ]

@@ -439,36 +439,32 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.serving.request import RetryPolicy
 
     tenants = parse_tenants_spec(args.tenants) if args.tenants else ()
-    admission = None
-    if args.admission:
-        if not tenants:
-            raise SystemExit("repro fleet: --admission requires --tenants")
-        admission = AdmissionPolicy(
-            target_queue_delay=args.admission_target_delay,
-            shed_queue_delay=args.shed_delay,
-            evaluate_interval=args.admission_interval,
-            brownout_max_new_tokens=args.brownout_tokens,
-            max_inflight_per_node=args.max_inflight,
-            max_queue_delay=args.max_queue_delay,
-        )
-    breaker = None
-    if args.breaker:
-        breaker = BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown=args.breaker_cooldown,
-        )
+    if args.admission and not tenants:
+        raise ConfigError("--admission requires --tenants")
+    # Every policy is built, and so validated, whether or not its switch
+    # is on: a bad value is a ConfigError, never silently ignored.
+    admission = AdmissionPolicy(
+        target_queue_delay=args.admission_target_delay,
+        shed_queue_delay=args.shed_delay,
+        evaluate_interval=args.admission_interval,
+        brownout_max_new_tokens=args.brownout_tokens,
+        max_inflight_per_node=args.max_inflight,
+        max_queue_delay=args.max_queue_delay,
+    )
+    breaker = BreakerPolicy(
+        failure_threshold=args.breaker_threshold,
+        cooldown=args.breaker_cooldown,
+    )
     upgrade = UpgradePlan.from_spec(args.upgrade) if args.upgrade else None
-    autoscale = None
-    if args.autoscale:
-        autoscale = AutoscalePolicy(
-            target_p99_ttft=args.slo_ttft,
-            target_p99_tpot=args.slo_tpot,
-            evaluate_interval=args.autoscale_interval,
-            cooldown=args.autoscale_cooldown,
-            min_nodes=args.min_nodes,
-            max_nodes=args.max_nodes,
-            provision_delay=args.provision_delay,
-        )
+    autoscale = AutoscalePolicy(
+        target_p99_ttft=args.slo_ttft,
+        target_p99_tpot=args.slo_tpot,
+        evaluate_interval=args.autoscale_interval,
+        cooldown=args.autoscale_cooldown,
+        min_nodes=args.min_nodes,
+        max_nodes=args.max_nodes,
+        provision_delay=args.provision_delay,
+    )
     if args.backend:
         # --backend g2 --backend a100 --backend a100 -> 1x g2, 2x a100
         pools: List[tuple] = []
@@ -500,10 +496,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         hedge_after=args.hedge_after,
         probe_interval=args.probe_interval,
         deadline=args.deadline,
-        autoscale=autoscale,
+        autoscale=autoscale if args.autoscale else None,
         tenants=tenants,
-        admission=admission,
-        breaker=breaker,
+        admission=admission if args.admission else None,
+        breaker=breaker if args.breaker else None,
         upgrade=upgrade,
         plan=NodeFaultPlan.from_spec(args.chaos) if args.chaos else NodeFaultPlan(),
     )

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.memo import CostCache
 from repro.hw.memory import HbmModel
 from repro.hw.mme import MmeModel
@@ -106,6 +108,12 @@ class Device:
         """Subclass hook: derive one GEMM estimate from scratch."""
         raise NotImplementedError
 
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        """``gemm(m, k, n, dtype).time`` for every shape of broadcast
+        ``m``/``k``/``n`` arrays, bit for bit, in one vectorized pass
+        (unbatched GEMMs; the shape cache is neither read nor filled)."""
+        raise NotImplementedError
+
     def matrix_utilization(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         """Achieved/peak utilization of one GEMM shape."""
         return self.gemm(m, k, n, dtype).utilization
@@ -149,6 +157,9 @@ class Gaudi2Device(Device):
         super().__init__(spec)
         self.mme = MmeModel(spec, configurable=mme_configurable)
 
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        return self.mme.gemm_times(m, k, n, dtype)
+
     def _gemm_uncached(
         self, m: int, k: int, n: int, dtype: DType, batch: int
     ) -> MatmulResult:
@@ -183,6 +194,9 @@ class A100Device(Device):
     def __init__(self, spec: DeviceSpec = A100_SPEC) -> None:
         super().__init__(spec)
         self.tensorcore = TensorCoreModel(spec)
+
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        return self.tensorcore.gemm_times(m, k, n, dtype)
 
     def _gemm_uncached(
         self, m: int, k: int, n: int, dtype: DType, batch: int

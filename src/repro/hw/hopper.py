@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.hw.device import Device, MatmulResult
 from repro.hw.spec import (
     GIGA,
@@ -43,7 +45,7 @@ from repro.hw.spec import (
     VectorEngineSpec,
     register_spec,
 )
-from repro.hw.systolic import blocked_gemm_traffic
+from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_batch, gemm_dims
 
 #: Warpgroup-MMA tile shapes the tile compiler chooses from,
 #: ``(tile_m, tile_n)`` -- the Hopper CUTLASS/CUDA-Tile kernel set.
@@ -273,6 +275,35 @@ class TileGemmModel:
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
 
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        """:meth:`gemm_time` over broadcast shape arrays, bit for bit.
+
+        :meth:`select_tile` keeps the tile of least compute time, so
+        the minimum over the tile set is the chosen tile's time.
+        """
+        m, k, n = gemm_dims(m, k, n)
+        compute_time = None
+        for tm, tn in self.tile_shapes:
+            tiles = -(-m // tm) * -(-n // tn)
+            full, rem = np.divmod(tiles, self.sm_count)
+            waves = full + rem / self.sm_count
+            cycles = waves * ((tm * tn * k) / _MACS_PER_SM + _TILE_OVERHEAD_CYCLES)
+            cycles = cycles + np.where(rem > 0, float(_STREAMK_FIXUP_CYCLES), 0.0)
+            time = cycles / (self.clock_hz * TILE_PIPELINE_EFFICIENCY)
+            compute_time = time if compute_time is None else np.minimum(compute_time, time)
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        traffic = blocked_gemm_traffic_batch(
+            m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        traffic = np.maximum(traffic * (1.0 - _CLUSTER_REUSE), TMA_BOX_BYTES)
+        efficiency = self.spec.memory.stream_efficiency
+        bw = np.where(
+            np.minimum(m, n) < 128,
+            self.spec.memory.bandwidth * (efficiency * _SKINNY_EFFICIENCY),
+            self.spec.memory.bandwidth * efficiency,
+        )
+        return np.maximum(compute_time / dtype_scale, traffic / bw)
+
     def batched_gemm(
         self, batch: int, m: int, k: int, n: int, dtype: DType = DType.BF16
     ) -> TileEstimate:
@@ -297,6 +328,9 @@ class H100Device(Device):
     def __init__(self, spec: DeviceSpec = H100_SPEC) -> None:
         super().__init__(spec)
         self.tile_gemm = TileGemmModel(spec)
+
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        return self.tile_gemm.gemm_times(m, k, n, dtype)
 
     def _gemm_uncached(
         self, m: int, k: int, n: int, dtype: DType, batch: int

@@ -24,13 +24,18 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.memo import CostCache
 from repro.hw.spec import DeviceSpec, DType, GAUDI2_SPEC
 from repro.hw.systolic import (
     SystolicArray,
     SystolicGeometry,
     best_geometry,
+    best_geometry_cycles,
     blocked_gemm_traffic,
+    blocked_gemm_traffic_batch,
+    gemm_dims,
 )
 
 #: Geometry set recovered from Figure 7(a).  Full-array shapes first,
@@ -173,6 +178,24 @@ class MmeModel:
 
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
+
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        """:meth:`gemm_time` over broadcast shape arrays, bit for bit.
+
+        The same geometry search and blocked traffic as
+        :meth:`_select_config_uncached`, one array operation per
+        geometry instead of one Python call per shape.
+        """
+        m, k, n = gemm_dims(m, k, n)
+        clock = self.spec.matrix.clock_hz
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        cycles = best_geometry_cycles(self.geometries, m, k, n)
+        compute_time = cycles / (clock * MME_PIPELINE_EFFICIENCY * dtype_scale)
+        traffic = blocked_gemm_traffic_batch(
+            m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        mem_bw = self.spec.memory.bandwidth * self.spec.memory.stream_efficiency
+        return np.maximum(compute_time, traffic / mem_bw)
 
     # ------------------------------------------------------------------
     def fixed_array_utilization(self, m: int, k: int, n: int) -> float:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SystolicGeometry:
@@ -120,6 +122,54 @@ def blocked_gemm_traffic(
     b_reads = math.ceil(m / block) * k * n
     c_writes = m * n
     return float(itemsize) * (a_reads + b_reads + c_writes)
+
+
+def gemm_dims(m, k, n) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcast GEMM dimensions to int64 arrays of one common shape.
+
+    The batched pricers do their ceil-divisions in int64, so they are
+    exact while every operand count (``m * k * ceil(n / 64)`` and the
+    like) fits in 63 bits.
+    """
+    dims = np.broadcast_arrays(*(np.asarray(d, dtype=np.int64) for d in (m, k, n)))
+    if any((d <= 0).any() for d in dims):
+        raise ValueError("GEMM dims must be positive")
+    return dims[0], dims[1], dims[2]
+
+
+def blocked_gemm_traffic_batch(
+    m: np.ndarray, k: np.ndarray, n: np.ndarray, itemsize: int, sram_bytes: int,
+    k_panel: int = 512,
+) -> np.ndarray:
+    """:func:`blocked_gemm_traffic` over int64 arrays, bit for bit.
+
+    The ceil-divisions and the operand counts are exact in int64; the
+    count is converted to float once, as the scalar form does.
+    """
+    block = np.maximum(64, (sram_bytes // itemsize) // (3 * np.minimum(k, k_panel)))
+    a_reads = -(-n // block) * m * k
+    b_reads = -(-m // block) * k * n
+    return float(itemsize) * (a_reads + b_reads + m * n).astype(np.float64)
+
+
+def best_geometry_cycles(
+    geometries: Iterable[SystolicGeometry], m: np.ndarray, k: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Cycle count of :func:`best_geometry`'s pick, per shape.
+
+    A GEMM's time depends on its geometry only through the cycle count,
+    and :func:`best_geometry` minimizes it (its fewer-MACs tie-break
+    only chooses among equal counts), so the minimum over the geometry
+    list is the winner's count.
+    """
+    best = None
+    for geo in geometries:
+        tiles = -(-m // geo.height) * -(-n // geo.width)
+        cycles = -(-tiles // geo.engines) * k + (geo.height + geo.width)
+        best = cycles if best is None else np.minimum(best, cycles)
+    if best is None:
+        raise ValueError("no geometries supplied")
+    return best
 
 
 def best_geometry(

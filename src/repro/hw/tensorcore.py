@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.hw.spec import A100_SPEC, DeviceSpec, DType
-from repro.hw.systolic import blocked_gemm_traffic
+from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_batch, gemm_dims
 
 #: CTA tile shapes cuBLAS chooses from, (tile_m, tile_n).
 DEFAULT_CTA_TILES: Sequence[Tuple[int, int]] = (
@@ -44,6 +46,9 @@ _MACS_PER_SM = 1024
 #: Fixed per-tile prologue/epilogue cost in cycles (smem staging,
 #: fragment load/store); dominates tiny-K tiles.
 _TILE_OVERHEAD_CYCLES = 96
+
+#: DRAM-efficiency derate for skinny (GEMV-like) shapes, ``min(m, n) < 128``.
+_SKINNY_EFFICIENCY = 0.88
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class TensorCoreModel:
         # the flip side of the reconfigurable-MME advantage the paper
         # credits for Gaudi-2's decode speedups (Section 3.5).
         if min(m, n) < 128:
-            efficiency *= 0.88
+            efficiency *= _SKINNY_EFFICIENCY
         bw = self.spec.memory.bandwidth * efficiency
         return traffic / bw
 
@@ -140,6 +145,32 @@ class TensorCoreModel:
 
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
+
+    def gemm_times(self, m, k, n, dtype: DType = DType.BF16) -> np.ndarray:
+        """:meth:`gemm_time` over broadcast shape arrays, bit for bit.
+
+        :meth:`select_tile` keeps the tile of least compute time, so
+        the minimum over the tile set is the chosen tile's time.
+        """
+        m, k, n = gemm_dims(m, k, n)
+        compute_time = None
+        for tm, tn in self.cta_tiles:
+            tiles = -(-m // tm) * -(-n // tn)
+            waves = -(-tiles // self.sm_count)
+            cycles = waves * ((tm * tn * k) / _MACS_PER_SM + _TILE_OVERHEAD_CYCLES)
+            time = cycles / (self.clock_hz * TC_PIPELINE_EFFICIENCY)
+            compute_time = time if compute_time is None else np.minimum(compute_time, time)
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        traffic = blocked_gemm_traffic_batch(
+            m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        efficiency = self.spec.memory.stream_efficiency
+        bw = np.where(
+            np.minimum(m, n) < 128,
+            self.spec.memory.bandwidth * (efficiency * _SKINNY_EFFICIENCY),
+            self.spec.memory.bandwidth * efficiency,
+        )
+        return np.maximum(compute_time / dtype_scale, traffic / bw)
 
     def batched_gemm(
         self, batch: int, m: int, k: int, n: int, dtype: DType = DType.BF16

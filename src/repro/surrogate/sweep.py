@@ -1,12 +1,13 @@
-"""Design-space sweeps that only pencil out at surrogate speed.
+"""Design-space sweeps: dense GEMM grids and the serving design space.
 
 Two sweeps live here:
 
 * :func:`gemm_grid_sweep` -- a fig07-style dense m x n utilization grid
-  at fixed K.  The exact path walks ``device.gemm`` point by point
-  (every shape distinct, so memoization cannot help); the surrogate
-  path answers the whole grid in one vectorized predictor call.  This
-  is the ``sweep_surrogate`` bench case's workload.
+  at fixed K.  Both paths answer the whole grid in one vectorized call:
+  the exact path through ``device.gemm_times`` (bit-identical to
+  ``device.gemm(...).time`` per shape, and no slower than the
+  surrogate), the surrogate path through its fitted predictor.  The
+  ``gemm_grid_exact`` and ``sweep_surrogate`` bench cases time them.
 * :func:`design_space_sweep` -- the ISSUE 10 figure: MME geometry x
   fabric (tensor-parallel degree) x batch-policy grid scoring decode
   throughput and a TTFT proxy for a Llama-3-8B-shaped decoder, with
@@ -74,10 +75,11 @@ def gemm_grid_sweep(
 ) -> Dict:
     """Dense m x n GEMM utilization grid at fixed ``k`` (fig07-style).
 
-    With ``exact`` the grid walks the exact cost model shape by shape;
-    otherwise the fitted surrogate answers it in one vectorized call.
-    Returns summary statistics (so both paths produce comparable,
-    deterministic output) plus the grid extent.
+    With ``exact`` the exact cost model prices the whole grid in one
+    batched ``device.gemm_times`` call (which neither reads nor fills
+    the shape cache); otherwise the fitted surrogate answers it in one
+    vectorized call.  Returns summary statistics (so both paths
+    produce comparable, deterministic output) plus the grid extent.
     """
     from repro.hw.backend import get_backend
     from repro.surrogate.backend import get_surrogate_model
@@ -90,13 +92,7 @@ def gemm_grid_sweep(
     m_grid, n_grid = np.meshgrid(axis, axis, indexing="ij")
 
     if exact:
-        base_key = backend_key.split("@")[0]
-        device = get_backend(base_key, fresh=True)
-        times = np.empty(m_grid.size, dtype=float)
-        flat_m, flat_n = m_grid.ravel(), n_grid.ravel()
-        for index in range(times.size):
-            times[index] = device.gemm(int(flat_m[index]), k, int(flat_n[index])).time
-        times = times.reshape(m_grid.shape)
+        times = get_backend(backend_key.split("@")[0]).gemm_times(m_grid, k, n_grid)
     else:
         model = get_surrogate_model(backend_key.split("@")[0])
         times = model.gemm_predict(m_grid, k, n_grid, 1)["time"]

@@ -20,14 +20,18 @@ matters.  The simulator enforces:
 
 Loops are simulated for a warm-up prefix, then the steady-state
 cycles-per-iteration is measured and extrapolated, so 24-million-element
-STREAM loops cost microseconds to evaluate.
+STREAM loops cost microseconds to evaluate.  The warm-up is a prefix of
+the measured sample, so one scoreboard pass records the cycle count at
+both checkpoints.  Each body is decoded once into dense register and
+slot indices, and the scoreboard state is plain lists of ints.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Deque, Dict, List, Sequence
 
 from repro.core.memo import CostCache
 from repro.hw.spec import GAUDI2_SPEC, VectorEngineSpec
@@ -38,6 +42,9 @@ from repro.tpc.isa import Instruction, MemoryKind, Opcode, Slot
 #: call, so the cache lives at module scope.  Keyed on the two spec
 #: fields the scoreboard actually reads, not the (unhashable) spec.
 _SIMULATE_CACHE = CostCache("tpc.pipeline", maxsize=2048)
+
+#: Dense index of each issue slot in the scoreboard's slot list.
+_SLOT_INDEX = {slot: index for index, slot in enumerate(Slot)}
 
 #: Extra cycles a taken loop-closing branch costs before the next
 #: iteration's first instruction can issue.
@@ -88,58 +95,81 @@ class VliwPipeline:
     # ------------------------------------------------------------------
     def _simulate_exact(self, body: Sequence[Instruction], iterations: int) -> float:
         """Simulate ``iterations`` repeats of ``body``; returns cycles."""
-        ready: Dict[str, int] = {}
-        last_read: Dict[str, int] = {}
-        last_write_issue: Dict[str, int] = {}
-        slot_free: Dict[Slot, int] = {slot: 0 for slot in Slot}
-        inflight_random: List[int] = []  # completion cycles of gather loads
-        cycle = 0
-        prev_issue = 0
+        return self._simulate_checkpoints(body, (iterations,))[0]
+
+    def _simulate_checkpoints(
+        self, body: Sequence[Instruction], checkpoints: Sequence[int]
+    ) -> List[float]:
+        """One scoreboard pass over ``checkpoints[-1]`` repeats of ``body``.
+
+        Returns the cycle count after each of the ascending
+        ``checkpoints`` iteration counts: a shorter run is a prefix of
+        a longer one, so one pass yields every checkpoint.
+        """
         max_outstanding = self.spec.max_outstanding_loads
         random_latency = self.spec.random_load_latency
-        # Hazard metadata is static per instruction; resolving the
-        # slot/memory-kind enum properties once instead of every
-        # iteration keeps the scoreboard loop on plain locals.
-        decoded = [
-            (
-                instr.sources,
-                instr.dest,
-                instr.slot,
-                instr.memory_kind is MemoryKind.RANDOM_LOAD,
-                instr.latency,
-                instr.opcode is Opcode.LOOP_END,
-            )
-            for instr in body
-        ]
-        for _ in range(iterations):
-            for sources, dest, slot, is_random_load, latency, is_loop_end in decoded:
-                earliest = prev_issue
-                for src in sources:
-                    earliest = max(earliest, ready.get(src, 0))
-                if dest is not None:
-                    earliest = max(earliest, last_read.get(dest, 0))
-                    earliest = max(earliest, last_write_issue.get(dest, -1) + 1)
-                earliest = max(earliest, slot_free[slot])
-                if is_random_load:
-                    inflight_random = [c for c in inflight_random if c > earliest]
-                    while len(inflight_random) >= max_outstanding:
-                        earliest = min(inflight_random)
-                        inflight_random = [c for c in inflight_random if c > earliest]
-                issue = earliest
-                if is_random_load:
-                    latency = random_latency
-                    inflight_random.append(issue + latency)
-                if dest is not None:
-                    ready[dest] = issue + latency
-                    last_write_issue[dest] = issue
-                for src in sources:
-                    last_read[src] = max(last_read.get(src, 0), issue)
-                slot_free[slot] = issue + 1
-                if is_loop_end:
-                    issue += BRANCH_PENALTY
-                prev_issue = issue
-                cycle = max(cycle, issue + 1)
-        return float(cycle)
+        # Hazard metadata is static per instruction: decode registers to
+        # dense list indices and slots to ints once per body, so the
+        # scoreboard loop runs on plain lists and ints.
+        registers: Dict[str, int] = {}
+        decoded = []
+        for instr in body:
+            is_random_load = instr.memory_kind is MemoryKind.RANDOM_LOAD
+            decoded.append((
+                tuple(registers.setdefault(src, len(registers)) for src in instr.sources),
+                -1 if instr.dest is None else registers.setdefault(instr.dest, len(registers)),
+                _SLOT_INDEX[instr.slot],
+                is_random_load,
+                random_latency if is_random_load else instr.latency,
+                BRANCH_PENALTY if instr.opcode is Opcode.LOOP_END else 0,
+            ))
+        ready = [0] * len(registers)
+        last_read = [0] * len(registers)
+        last_write_issue = [-1] * len(registers)
+        slot_free = [0] * len(_SLOT_INDEX)
+        # Completion cycles of in-flight gather loads.  Issue is in
+        # order, so they are appended in ascending order.
+        inflight: Deque[int] = deque()
+        # Issue cycle of the previous instruction (plus its branch
+        # penalty).  Issue cycles never decrease, so every earlier read
+        # of a register issued at or before the current instruction, and
+        # the cycle count so far is ``issue + 1``.
+        issue = 0
+        cycles: List[float] = []
+        done = 0
+        for target in checkpoints:
+            for _ in range(target - done):
+                for sources, dest, slot, is_random_load, latency, penalty in decoded:
+                    earliest = issue
+                    for src in sources:
+                        if ready[src] > earliest:
+                            earliest = ready[src]
+                    if dest >= 0:
+                        if last_read[dest] > earliest:
+                            earliest = last_read[dest]
+                        if last_write_issue[dest] >= earliest:
+                            earliest = last_write_issue[dest] + 1
+                    if slot_free[slot] > earliest:
+                        earliest = slot_free[slot]
+                    if is_random_load:
+                        while inflight and inflight[0] <= earliest:
+                            inflight.popleft()
+                        while len(inflight) >= max_outstanding:
+                            earliest = inflight.popleft()
+                            while inflight and inflight[0] <= earliest:
+                                inflight.popleft()
+                        inflight.append(earliest + latency)
+                    issue = earliest
+                    if dest >= 0:
+                        ready[dest] = issue + latency
+                        last_write_issue[dest] = issue
+                    for src in sources:
+                        last_read[src] = issue
+                    slot_free[slot] = issue + 1
+                    issue += penalty
+            done = target
+            cycles.append(float(issue + 1) if done and decoded else 0.0)
+        return cycles
 
     # ------------------------------------------------------------------
     def simulate(self, body: Sequence[Instruction], iterations: int) -> PipelineResult:
@@ -174,8 +204,7 @@ class VliwPipeline:
         if iterations <= sample:
             total = self._simulate_exact(body, iterations)
         else:
-            warm = self._simulate_exact(body, warmup)
-            warm_plus = self._simulate_exact(body, sample)
+            warm, warm_plus = self._simulate_checkpoints(body, (warmup, sample))
             steady = (warm_plus - warm) / _MEASURE_ITERS
             total = warm_plus + steady * (iterations - sample)
 

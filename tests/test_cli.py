@@ -79,6 +79,11 @@ class TestTypedErrors:
         ["top", "--tp", "3"],
         ["chaos", "--tp", "3"],
         ["fleet", "--tp", "3"],
+        # Feature flags are validated even when their switch is off.
+        ["fleet", "--nodes", "2x gaudi2", "--max-inflight", "0"],
+        ["fleet", "--nodes", "2x gaudi2", "--breaker-threshold", "0"],
+        ["fleet", "--nodes", "2x gaudi2", "--autoscale-interval", "-1"],
+        ["fleet", "--nodes", "2x gaudi2", "--admission"],
     ])
     def test_config_error_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -232,7 +232,12 @@ _values = st.one_of(
         max_leaves=6,
     ),
 )
-_args = st.dictionaries(_text, _values, max_size=4)
+#: Keyword names the ``Tracer`` recording methods take positionally; an
+#: args key equal to one cannot be passed through ``**args`` at all.
+_TRACER_PARAMS = {"name", "category", "start", "end", "t", "async_id"}
+_args = st.dictionaries(
+    _text.filter(lambda key: key not in _TRACER_PARAMS), _values, max_size=4
+)
 _times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 _records = st.lists(
     st.one_of(
